@@ -1927,87 +1927,11 @@ void loadRngState(Deserializer& in, Rng& rng) {
 }
 
 void saveTotals(Serializer& out, const EngineTotals& t) {
-  out.u64(t.contactsProcessed);
-  out.u64(t.filesPublished);
-  out.u64(t.queriesGenerated);
-  out.u64(t.metadataBroadcasts);
-  out.u64(t.pieceBroadcasts);
-  out.u64(t.metadataReceptions);
-  out.u64(t.pieceReceptions);
-  out.u64(t.forgeriesCrafted);
-  out.u64(t.forgeriesAccepted);
-  out.u64(t.forgeriesRejected);
-  out.u64(t.faultMessagesDropped);
-  out.u64(t.faultContactsTruncated);
-  out.u64(t.faultPiecesRejectedCorrupt);
-  out.u64(t.faultNodeDownIntervals);
-  out.u64(t.recoveryFramesLost);
-  out.u64(t.recoveryRetransmits);
-  out.u64(t.recoveryRedeliveries);
-  out.u64(t.coordinatorFailovers);
-  out.u64(t.repairRequests);
-  out.u64(t.metadataEvictions);
-  out.u64(t.codedBroadcasts);
-  out.u64(t.codedInnovativeFrames);
-  out.u64(t.codedRedundantFrames);
-  out.u64(t.generationsDecoded);
-  out.u64(t.codedDecodeFailures);
-  out.u64(t.codedDecodeRowOps);
-  out.u64(t.codedDegenerateFrames);
-  out.u64(t.adversaryAttacks);
-  out.u64(t.pollutionInjected);
-  out.u64(t.pollutionDetected);
-  out.u64(t.pollutedDeliveries);
-  out.u64(t.generationsRolledBack);
-  out.u64(t.piecesLied);
-  out.u64(t.summariesForged);
-  out.u64(t.acksSpoofed);
-  out.u64(t.broadcastsSuppressed);
-  out.u64(t.nodesQuarantined);
-  out.u64(t.nodesReleased);
-  out.u64(t.falseQuarantines);
+  forEachCounter([&](std::uint64_t counter) { out.u64(counter); }, t);
 }
 
 void loadTotals(Deserializer& in, EngineTotals& t) {
-  t.contactsProcessed = in.u64();
-  t.filesPublished = in.u64();
-  t.queriesGenerated = in.u64();
-  t.metadataBroadcasts = in.u64();
-  t.pieceBroadcasts = in.u64();
-  t.metadataReceptions = in.u64();
-  t.pieceReceptions = in.u64();
-  t.forgeriesCrafted = in.u64();
-  t.forgeriesAccepted = in.u64();
-  t.forgeriesRejected = in.u64();
-  t.faultMessagesDropped = in.u64();
-  t.faultContactsTruncated = in.u64();
-  t.faultPiecesRejectedCorrupt = in.u64();
-  t.faultNodeDownIntervals = in.u64();
-  t.recoveryFramesLost = in.u64();
-  t.recoveryRetransmits = in.u64();
-  t.recoveryRedeliveries = in.u64();
-  t.coordinatorFailovers = in.u64();
-  t.repairRequests = in.u64();
-  t.metadataEvictions = in.u64();
-  t.codedBroadcasts = in.u64();
-  t.codedInnovativeFrames = in.u64();
-  t.codedRedundantFrames = in.u64();
-  t.generationsDecoded = in.u64();
-  t.codedDecodeFailures = in.u64();
-  t.codedDecodeRowOps = in.u64();
-  t.codedDegenerateFrames = in.u64();
-  t.adversaryAttacks = in.u64();
-  t.pollutionInjected = in.u64();
-  t.pollutionDetected = in.u64();
-  t.pollutedDeliveries = in.u64();
-  t.generationsRolledBack = in.u64();
-  t.piecesLied = in.u64();
-  t.summariesForged = in.u64();
-  t.acksSpoofed = in.u64();
-  t.broadcastsSuppressed = in.u64();
-  t.nodesQuarantined = in.u64();
-  t.nodesReleased = in.u64();
-  t.falseQuarantines = in.u64();
+  forEachCounter([&](std::uint64_t& counter) { counter = in.u64(); }, t);
 }
 
 }  // namespace

@@ -236,6 +236,55 @@ struct EngineTotals {
   std::uint64_t falseQuarantines = 0;
 };
 
+/// Calls f(t.counter...) once per EngineTotals counter, in declaration
+/// order — the order checkpoints store them in. Pass several totals to
+/// visit them in lockstep (merging: f(into.x, part.x)).
+template <typename F, typename... Totals>
+void forEachCounter(F&& f, Totals&... t) {
+  f(t.contactsProcessed...);
+  f(t.filesPublished...);
+  f(t.queriesGenerated...);
+  f(t.metadataBroadcasts...);
+  f(t.pieceBroadcasts...);
+  f(t.metadataReceptions...);
+  f(t.pieceReceptions...);
+  f(t.forgeriesCrafted...);
+  f(t.forgeriesAccepted...);
+  f(t.forgeriesRejected...);
+  f(t.faultMessagesDropped...);
+  f(t.faultContactsTruncated...);
+  f(t.faultPiecesRejectedCorrupt...);
+  f(t.faultNodeDownIntervals...);
+  f(t.recoveryFramesLost...);
+  f(t.recoveryRetransmits...);
+  f(t.recoveryRedeliveries...);
+  f(t.coordinatorFailovers...);
+  f(t.repairRequests...);
+  f(t.metadataEvictions...);
+  f(t.codedBroadcasts...);
+  f(t.codedInnovativeFrames...);
+  f(t.codedRedundantFrames...);
+  f(t.generationsDecoded...);
+  f(t.codedDecodeFailures...);
+  f(t.codedDecodeRowOps...);
+  f(t.codedDegenerateFrames...);
+  f(t.adversaryAttacks...);
+  f(t.pollutionInjected...);
+  f(t.pollutionDetected...);
+  f(t.pollutedDeliveries...);
+  f(t.generationsRolledBack...);
+  f(t.piecesLied...);
+  f(t.summariesForged...);
+  f(t.acksSpoofed...);
+  f(t.broadcastsSuppressed...);
+  f(t.nodesQuarantined...);
+  f(t.nodesReleased...);
+  f(t.falseQuarantines...);
+}
+
+/// A counter added to EngineTotals must also be added to forEachCounter.
+static_assert(sizeof(EngineTotals) == 39 * sizeof(std::uint64_t));
+
 struct EngineResult {
   DeliveryReport delivery;             ///< non-access nodes (the paper's metric)
   DeliveryReport accessDelivery;       ///< access nodes (sanity ~ 1.0)

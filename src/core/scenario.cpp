@@ -1,12 +1,16 @@
 #include "src/core/scenario.hpp"
 
+#include <algorithm>
 #include <charconv>
-#include <cstdio>
+#include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
+#include <type_traits>
 
 #include "src/core/checkpoint.hpp"
 #include "src/core/download_planner.hpp"
@@ -19,43 +23,6 @@
 #include "src/util/string_util.hpp"
 
 namespace hdtn::core {
-
-namespace {
-
-bool parseIntValue(const std::string& text, std::int64_t* out) {
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  auto [ptr, ec] = std::from_chars(begin, end, *out);
-  return ec == std::errc() && ptr == end;
-}
-
-bool parseDoubleValue(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  return end == text.c_str() + text.size();
-}
-
-/// Bare switches ("--observed-popularity") arrive with an empty value.
-bool parseBoolValue(const std::string& text, bool* out) {
-  if (text.empty() || text == "true" || text == "1" || text == "on" ||
-      text == "yes") {
-    *out = true;
-    return true;
-  }
-  if (text == "false" || text == "0" || text == "off" || text == "no") {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
-std::string badValue(const std::string& key, const std::string& value,
-                     const char* expected) {
-  return "key '" + key + "': expected " + expected + ", got '" + value + "'";
-}
-
-}  // namespace
 
 // --- TraceSpec --------------------------------------------------------------
 
@@ -115,253 +82,322 @@ std::optional<trace::ContactTrace> TraceSpec::build(std::string* error) const {
   return trace::generateRandomWaypoint(p);
 }
 
-// --- Scenario ---------------------------------------------------------------
+// --- Scenario knobs ---------------------------------------------------------
 
-const std::vector<std::string>& Scenario::knownKeys() {
-  static const std::vector<std::string> kKeys = {
-      // identity + trace source
-      "name", "trace", "trace-family", "trace-seed", "trace-days",
-      "trace-students", "trace-courses", "trace-courses-per-student",
-      "trace-attendance", "trace-buses", "trace-routes", "trace-nodes",
-      "trace-hours", "trace-range", "trace-field",
-      // engine parameters (same names as the hdtn_sim flags)
-      "protocol", "scheduling", "download-mode", "coded-redundancy",
-      "coded-sparsity", "access", "files-per-day", "ttl-days",
-      "md-per-contact", "files-per-contact", "pieces-per-file", "free-riders",
-      "frequent-days", "observed-popularity", "seed",
-      // fault injection
-      "loss-rate", "truncation-rate", "truncation-keep-min",
-      "truncation-keep-max", "corruption-rate", "churn-fraction",
-      "churn-downtime-hours",
-      // recovery layer (docs/RECOVERY.md)
-      "recovery-retries", "recovery-retransmit-budget", "recovery-repair",
-      "recovery-queue-limit", "recovery-failover", "md-capacity",
-      // Byzantine adversary + defense (docs/ADVERSARY.md)
-      "adversary-fraction", "adversary-attacks", "defense",
-      "quarantine-threshold",
-      // outputs
-      "events-out", "timeseries-out", "sample-every",
-      // checkpoint/resume (docs/CHECKPOINT.md)
-      "checkpoint-out", "checkpoint-every", "resume"};
-  return kKeys;
+namespace {
+
+/// A whole literal that strtod accepts and that is finite.
+bool parseFiniteValue(const std::string& text, double* out) {
+  if (text.empty()) return false;
+  char* end = nullptr;
+  *out = std::strtod(text.c_str(), &end);
+  return end == text.c_str() + text.size() && std::isfinite(*out);
+}
+
+/// Bare switches ("--observed-popularity") arrive with an empty value.
+bool parseBoolValue(const std::string& text, bool* out) {
+  if (text.empty() || text == "true" || text == "1" || text == "on" ||
+      text == "yes") {
+    *out = true;
+    return true;
+  }
+  if (text == "false" || text == "0" || text == "off" || text == "no") {
+    *out = false;
+    return true;
+  }
+  return false;
+}
+
+std::string badValue(const std::string& key, const std::string& value,
+                     const std::string& expected) {
+  return "key '" + key + "': expected " + expected + ", got '" + value + "'";
+}
+
+/// Shortest text that reads back as the same double.
+std::string formatNumber(double value) {
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  return std::string(buf, result.ptr);
+}
+
+constexpr const char* kProtocolNames[] = {"mbt", "mbt-q", "mbt-qm"};
+
+bool parseProtocol(Scenario& s, const std::string& value, std::string*) {
+  const auto* it = std::find(std::begin(kProtocolNames),
+                             std::end(kProtocolNames), value);
+  if (it == std::end(kProtocolNames)) return false;
+  s.params.protocol.kind =
+      static_cast<ProtocolKind>(it - std::begin(kProtocolNames));
+  return true;
+}
+
+bool parseScheduling(Scenario& s, const std::string& value, std::string*) {
+  if (value != "coop" && value != "tft") return false;
+  s.params.protocol.scheduling =
+      value == "coop" ? Scheduling::kCooperative : Scheduling::kTitForTat;
+  return true;
+}
+
+std::string schedulingName(const Scenario& s) {
+  return s.params.protocol.scheduling == Scheduling::kTitForTat ? "tft"
+                                                                 : "coop";
+}
+
+bool parseDownloadMode(Scenario& s, const std::string& value,
+                       std::string*) {
+  const DownloadModeInfo* info = findDownloadMode(value);
+  if (info == nullptr) return false;
+  s.params.downloadMode = info->mode;
+  s.params.protocol.scheduling = info->scheduling;
+  return true;
+}
+
+#define HDTN_FIELD(member) [](Scenario& s) -> auto& { return s.member; }
+
+constexpr Knob kKnobs[] = {
+    // identity + trace source
+    {"name", HDTN_FIELD(name), "run label"},
+    {"trace",
+     Knob::Choice{[](Scenario& s, const std::string& value, std::string*) {
+                    s.trace.family = "file";
+                    s.trace.path = value;
+                    return true;
+                  },
+                  [](const Scenario& s) { return s.trace.path; },
+                  "a path"},
+     "contact trace file, selecting trace-family=file"},
+    {"trace-family", HDTN_FIELD(trace.family),
+     "trace source: file|nus|dieselnet|rwp"},
+    {"trace-seed", HDTN_FIELD(trace.seed), "trace generator seed",
+     "nus|dieselnet|rwp"},
+    {"trace-days", HDTN_FIELD(trace.days),
+     "generator days (0 = 14 for nus, 20 for dieselnet)", "nus|dieselnet"},
+    {"trace-students", HDTN_FIELD(trace.students), "nus: students", "nus"},
+    {"trace-courses", HDTN_FIELD(trace.courses), "nus: courses", "nus"},
+    {"trace-courses-per-student", HDTN_FIELD(trace.coursesPerStudent),
+     "nus: courses each student takes", "nus"},
+    {"trace-attendance", HDTN_FIELD(trace.attendance),
+     "nus: class attendance rate", "nus"},
+    {"trace-buses", HDTN_FIELD(trace.buses), "dieselnet: buses",
+     "dieselnet"},
+    {"trace-routes", HDTN_FIELD(trace.routes), "dieselnet: routes",
+     "dieselnet"},
+    {"trace-nodes", HDTN_FIELD(trace.nodes), "rwp: nodes", "rwp"},
+    {"trace-hours", HDTN_FIELD(trace.hours), "rwp: simulated hours", "rwp"},
+    {"trace-range", HDTN_FIELD(trace.radioRange), "rwp: radio range, m",
+     "rwp"},
+    {"trace-field", HDTN_FIELD(trace.fieldSize), "rwp: square field side, m",
+     "rwp"},
+    // engine parameters
+    {"protocol",
+     Knob::Choice{parseProtocol,
+                  [](const Scenario& s) -> std::string {
+                    return kProtocolNames[static_cast<int>(
+                        s.params.protocol.kind)];
+                  },
+                  "mbt|mbt-q|mbt-qm"},
+     "protocol variant"},
+    {"scheduling", Knob::Choice{parseScheduling, schedulingName, "coop|tft"},
+     "download scheduling"},
+    {"download-mode",
+     Knob::Choice{parseDownloadMode,
+                  [](const Scenario& s) -> std::string {
+                    return downloadModeName(s.params.downloadMode,
+                                            s.params.protocol.scheduling);
+                  },
+                  "coop|tft|popularity|pairwise|coded"},
+     "download mode, docs/CODING.md"},
+    {"coded-redundancy", HDTN_FIELD(params.coded.redundancy),
+     "coded: extra frames per deficit fraction"},
+    {"coded-sparsity", HDTN_FIELD(params.coded.sparsity),
+     "coded: coefficient-vector density"},
+    {"access", HDTN_FIELD(params.internetAccessFraction),
+     "Internet-access fraction"},
+    {"files-per-day", HDTN_FIELD(params.newFilesPerDay),
+     "files published per day"},
+    {"ttl-days", HDTN_FIELD(params.fileTtlDays), "file/query time-to-live"},
+    {"md-per-contact", HDTN_FIELD(params.metadataPerContact),
+     "metadata budget per contact"},
+    {"files-per-contact", HDTN_FIELD(params.filesPerContact),
+     "file budget per contact"},
+    {"pieces-per-file", HDTN_FIELD(params.piecesPerFile),
+     "pieces per published file"},
+    {"free-riders", HDTN_FIELD(params.freeRiderFraction),
+     "free-riding fraction"},
+    {"frequent-days", HDTN_FIELD(params.frequentContactPeriod),
+     "frequent-contact window, days", nullptr, Knob::Unit::kDays},
+    {"observed-popularity", HDTN_FIELD(params.useObservedPopularity),
+     "rank by server-observed popularity"},
+    {"seed", HDTN_FIELD(params.seed), "simulation seed"},
+    // fault injection (docs/FAULTS.md)
+    {"loss-rate", HDTN_FIELD(params.faults.messageLossRate),
+     "fault: per-message loss probability"},
+    {"truncation-rate", HDTN_FIELD(params.faults.contactTruncationRate),
+     "fault: contact truncation probability"},
+    {"truncation-keep-min", HDTN_FIELD(params.faults.truncationKeepMin),
+     "fault: least budget fraction a truncated contact keeps"},
+    {"truncation-keep-max", HDTN_FIELD(params.faults.truncationKeepMax),
+     "fault: most budget fraction a truncated contact keeps"},
+    {"corruption-rate", HDTN_FIELD(params.faults.pieceCorruptionRate),
+     "fault: piece corruption probability"},
+    {"churn-fraction", HDTN_FIELD(params.faults.churnDownFraction),
+     "fault: long-run down-time fraction"},
+    {"churn-downtime-hours", HDTN_FIELD(params.faults.churnMeanDowntime),
+     "fault: mean down interval, hours", nullptr, Knob::Unit::kHours, true},
+    // recovery layer (docs/RECOVERY.md)
+    {"recovery-retries", HDTN_FIELD(params.recovery.maxRetries),
+     "recovery: retransmission attempts per frame"},
+    {"recovery-retransmit-budget", HDTN_FIELD(params.recovery.retransmitBudget),
+     "recovery: resend slots per contact"},
+    {"recovery-repair", HDTN_FIELD(params.recovery.repairPerContact),
+     "recovery: anti-entropy requests per contact"},
+    {"recovery-queue-limit", HDTN_FIELD(params.recovery.repairQueueLimit),
+     "recovery: pending retransmissions kept per sender", nullptr,
+     Knob::Unit::kSeconds, true},
+    {"recovery-failover", HDTN_FIELD(params.recovery.coordinatorFailover),
+     "recovery: elect a new clique coordinator"},
+    {"md-capacity", HDTN_FIELD(params.nodeMetadataCapacity),
+     "metadata records per node (0 = unbounded)"},
+    // Byzantine adversary + defense (docs/ADVERSARY.md)
+    {"adversary-fraction", HDTN_FIELD(params.adversary.byzantineFraction),
+     "Byzantine fraction of non-access nodes"},
+    {"adversary-attacks",
+     Knob::Choice{[](Scenario& s, const std::string& value,
+                     std::string* rejected) {
+                    return faults::parseAttackMask(
+                        value, &s.params.adversary.attacks, rejected);
+                  },
+                  [](const Scenario& s) {
+                    return faults::attackMaskName(s.params.adversary.attacks);
+                  },
+                  "a comma-separated attack list "
+                  "(pollution|piece-lie|false-summary|ack-spoof|coordinator), "
+                  "'all', or 'none'"},
+     "attacks Byzantine nodes mount"},
+    {"defense", HDTN_FIELD(params.reputation.defense),
+     "enable verification + quarantine defenses"},
+    {"quarantine-threshold", HDTN_FIELD(params.reputation.quarantineThreshold),
+     "suspicion level that quarantines a node"},
+    // outputs (docs/OBSERVABILITY.md)
+    {"events-out", HDTN_FIELD(eventsOut), "JSONL event trace path"},
+    {"timeseries-out", HDTN_FIELD(timeseriesOut),
+     "sampled delivery/totals CSV path"},
+    {"sample-every", HDTN_FIELD(sampleEvery),
+     "time-series cadence, sim seconds"},
+    // checkpoint/resume (docs/CHECKPOINT.md)
+    {"checkpoint-out", HDTN_FIELD(checkpointOut), "periodic checkpoint path"},
+    {"checkpoint-every", HDTN_FIELD(checkpointEvery),
+     "checkpoint cadence, sim seconds"},
+    {"resume", HDTN_FIELD(resume), "restore from checkpoint-out if it exists"},
+};
+
+#undef HDTN_FIELD
+
+/// A number in the knob's unit, stored in T only when it is finite, fits T
+/// and honours the knob's minimum.
+template <typename T>
+std::string storeNumber(const Knob& knob, const std::string& value, T* out) {
+  if constexpr (std::is_integral_v<T>) {
+    if (knob.unit != Knob::Unit::kHours) {
+      const T scale = knob.unit == Knob::Unit::kDays ? T{kDay} : T{1};
+      const T lo =
+          knob.positive ? T{1} : std::numeric_limits<T>::min() / scale;
+      const T hi = std::numeric_limits<T>::max() / scale;
+      T parsed{};
+      const char* end = value.data() + value.size();
+      const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+      if (ec != std::errc() || ptr != end || parsed < lo || parsed > hi) {
+        return badValue(knob.key, value,
+                        "an integer in [" + std::to_string(lo) + ", " +
+                            std::to_string(hi) + "]");
+      }
+      *out = parsed * scale;
+      return "";
+    }
+  }
+  // A double, or a Duration in (fractional) hours that must still fit in
+  // an int64 once converted to seconds.
+  double parsed = 0.0;
+  const bool ok = parseFiniteValue(value, &parsed) &&
+                  (!knob.positive || parsed > 0.0);
+  const double scaled =
+      knob.unit == Knob::Unit::kHours ? parsed * kHour : parsed;
+  if (!ok || (std::is_integral_v<T> && !(std::fabs(scaled) < 9e18))) {
+    return badValue(knob.key, value,
+                    knob.positive ? "a positive finite number"
+                                  : "a finite number");
+  }
+  *out = static_cast<T>(scaled);
+  return "";
+}
+
+/// Parses `value` by the knob's kind and stores it in the owning field.
+std::string store(const Knob& knob, Scenario& scenario,
+                  const std::string& value) {
+  return std::visit(
+      [&](auto field) -> std::string {
+        if constexpr (std::is_same_v<decltype(field), Knob::Choice>) {
+          std::string rejected;
+          if (field.parse(scenario, value, &rejected)) return "";
+          return badValue(knob.key, rejected.empty() ? value : rejected,
+                          field.vocabulary);
+        } else {
+          auto& target = field(scenario);
+          using T = std::remove_reference_t<decltype(target)>;
+          if constexpr (std::is_same_v<T, std::string>) {
+            target = value;
+            return "";
+          } else if constexpr (std::is_same_v<T, bool>) {
+            if (parseBoolValue(value, &target)) return "";
+            return badValue(knob.key, value, "a boolean");
+          } else {
+            return storeNumber(knob, value, &target);
+          }
+        }
+      },
+      knob.field);
+}
+
+}  // namespace
+
+std::string Knob::show(const Scenario& scenario) const {
+  return std::visit(
+      [&](auto field) -> std::string {
+        if constexpr (std::is_same_v<decltype(field), Choice>) {
+          return field.name(scenario);
+        } else {
+          // Accessors hand out mutable references; this only reads.
+          const auto value = field(const_cast<Scenario&>(scenario));
+          using T = std::remove_const_t<decltype(value)>;
+          if constexpr (std::is_same_v<T, std::string>) {
+            return value;
+          } else if constexpr (std::is_same_v<T, bool>) {
+            return value ? "true" : "false";
+          } else if constexpr (std::is_floating_point_v<T>) {
+            return formatNumber(value);
+          } else if (unit == Unit::kHours) {
+            return formatNumber(static_cast<double>(value) / kHour);
+          } else {
+            return std::to_string(unit == Unit::kDays ? value / kDay : value);
+          }
+        }
+      },
+      field);
+}
+
+std::span<const Knob> scenarioKnobs() { return kKnobs; }
+
+const Knob* findKnob(std::string_view key) {
+  for (const Knob& knob : kKnobs) {
+    if (key == knob.key) return &knob;
+  }
+  return nullptr;
 }
 
 std::string Scenario::apply(const std::string& key, const std::string& value) {
-  auto asInt = [&](std::int64_t* out) -> std::string {
-    std::int64_t parsed = 0;
-    if (!parseIntValue(value, &parsed)) {
-      return badValue(key, value, "an integer");
-    }
-    *out = parsed;
-    return "";
-  };
-  auto asDouble = [&](double* out) -> std::string {
-    double parsed = 0.0;
-    if (!parseDoubleValue(value, &parsed)) {
-      return badValue(key, value, "a number");
-    }
-    *out = parsed;
-    return "";
-  };
-  auto asBool = [&](bool* out) -> std::string {
-    bool parsed = false;
-    if (!parseBoolValue(value, &parsed)) {
-      return badValue(key, value, "a boolean");
-    }
-    *out = parsed;
-    return "";
-  };
-
-  std::int64_t i = 0;
-  double d = 0.0;
-  bool b = false;
-  std::string err;
-
-  if (key == "name") {
-    name = value;
-  } else if (key == "trace") {
-    trace.family = "file";
-    trace.path = value;
-  } else if (key == "trace-family") {
-    trace.family = value;
-  } else if (key == "trace-seed") {
-    if (!(err = asInt(&i)).empty()) return err;
-    trace.seed = static_cast<std::uint64_t>(i);
-  } else if (key == "trace-days") {
-    if (!(err = asInt(&i)).empty()) return err;
-    trace.days = static_cast<int>(i);
-  } else if (key == "trace-students") {
-    if (!(err = asInt(&i)).empty()) return err;
-    trace.students = static_cast<int>(i);
-  } else if (key == "trace-courses") {
-    if (!(err = asInt(&i)).empty()) return err;
-    trace.courses = static_cast<int>(i);
-  } else if (key == "trace-courses-per-student") {
-    if (!(err = asInt(&i)).empty()) return err;
-    trace.coursesPerStudent = static_cast<int>(i);
-  } else if (key == "trace-attendance") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    trace.attendance = d;
-  } else if (key == "trace-buses") {
-    if (!(err = asInt(&i)).empty()) return err;
-    trace.buses = static_cast<int>(i);
-  } else if (key == "trace-routes") {
-    if (!(err = asInt(&i)).empty()) return err;
-    trace.routes = static_cast<int>(i);
-  } else if (key == "trace-nodes") {
-    if (!(err = asInt(&i)).empty()) return err;
-    trace.nodes = static_cast<int>(i);
-  } else if (key == "trace-hours") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    trace.hours = d;
-  } else if (key == "trace-range") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    trace.radioRange = d;
-  } else if (key == "trace-field") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    trace.fieldSize = d;
-  } else if (key == "protocol") {
-    if (value == "mbt") {
-      params.protocol.kind = ProtocolKind::kMbt;
-    } else if (value == "mbt-q") {
-      params.protocol.kind = ProtocolKind::kMbtQ;
-    } else if (value == "mbt-qm") {
-      params.protocol.kind = ProtocolKind::kMbtQm;
-    } else {
-      return badValue(key, value, "mbt|mbt-q|mbt-qm");
-    }
-  } else if (key == "scheduling") {
-    if (value == "coop") {
-      params.protocol.scheduling = Scheduling::kCooperative;
-    } else if (value == "tft") {
-      params.protocol.scheduling = Scheduling::kTitForTat;
-    } else {
-      return badValue(key, value, "coop|tft");
-    }
-  } else if (key == "download-mode") {
-    const DownloadModeInfo* info = findDownloadMode(value);
-    if (info == nullptr) {
-      return badValue(key, value, "coop|tft|popularity|pairwise|coded");
-    }
-    params.downloadMode = info->mode;
-    params.protocol.scheduling = info->scheduling;
-  } else if (key == "coded-redundancy") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.coded.redundancy = d;
-  } else if (key == "coded-sparsity") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.coded.sparsity = d;
-  } else if (key == "access") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.internetAccessFraction = d;
-  } else if (key == "files-per-day") {
-    if (!(err = asInt(&i)).empty()) return err;
-    params.newFilesPerDay = static_cast<int>(i);
-  } else if (key == "ttl-days") {
-    if (!(err = asInt(&i)).empty()) return err;
-    params.fileTtlDays = static_cast<int>(i);
-  } else if (key == "md-per-contact") {
-    if (!(err = asInt(&i)).empty()) return err;
-    params.metadataPerContact = static_cast<int>(i);
-  } else if (key == "files-per-contact") {
-    if (!(err = asInt(&i)).empty()) return err;
-    params.filesPerContact = static_cast<int>(i);
-  } else if (key == "pieces-per-file") {
-    if (!(err = asInt(&i)).empty()) return err;
-    if (i < 0) return badValue(key, value, "a non-negative integer");
-    params.piecesPerFile = static_cast<std::uint32_t>(i);
-  } else if (key == "free-riders") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.freeRiderFraction = d;
-  } else if (key == "frequent-days") {
-    if (!(err = asInt(&i)).empty()) return err;
-    params.frequentContactPeriod = static_cast<Duration>(i) * kDay;
-  } else if (key == "observed-popularity") {
-    if (!(err = asBool(&b)).empty()) return err;
-    params.useObservedPopularity = b;
-  } else if (key == "seed") {
-    if (!(err = asInt(&i)).empty()) return err;
-    params.seed = static_cast<std::uint64_t>(i);
-  } else if (key == "loss-rate") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.faults.messageLossRate = d;
-  } else if (key == "truncation-rate") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.faults.contactTruncationRate = d;
-  } else if (key == "truncation-keep-min") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.faults.truncationKeepMin = d;
-  } else if (key == "truncation-keep-max") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.faults.truncationKeepMax = d;
-  } else if (key == "corruption-rate") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.faults.pieceCorruptionRate = d;
-  } else if (key == "churn-fraction") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.faults.churnDownFraction = d;
-  } else if (key == "churn-downtime-hours") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    if (d <= 0.0) return badValue(key, value, "a positive number of hours");
-    params.faults.churnMeanDowntime = static_cast<Duration>(d * kHour);
-  } else if (key == "recovery-retries") {
-    if (!(err = asInt(&i)).empty()) return err;
-    params.recovery.maxRetries = static_cast<int>(i);
-  } else if (key == "recovery-retransmit-budget") {
-    if (!(err = asInt(&i)).empty()) return err;
-    params.recovery.retransmitBudget = static_cast<int>(i);
-  } else if (key == "recovery-repair") {
-    if (!(err = asInt(&i)).empty()) return err;
-    params.recovery.repairPerContact = static_cast<int>(i);
-  } else if (key == "recovery-queue-limit") {
-    if (!(err = asInt(&i)).empty()) return err;
-    if (i < 1) return badValue(key, value, "a positive integer");
-    params.recovery.repairQueueLimit = static_cast<std::size_t>(i);
-  } else if (key == "recovery-failover") {
-    if (!(err = asBool(&b)).empty()) return err;
-    params.recovery.coordinatorFailover = b;
-  } else if (key == "adversary-fraction") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.adversary.byzantineFraction = d;
-  } else if (key == "adversary-attacks") {
-    std::uint32_t mask = 0;
-    std::string offender;
-    if (!faults::parseAttackMask(value, &mask, &offender)) {
-      return badValue(key, offender.empty() ? value : offender,
-                      "a comma-separated attack list "
-                      "(pollution|piece-lie|false-summary|ack-spoof|"
-                      "coordinator), 'all', or 'none'");
-    }
-    params.adversary.attacks = mask;
-  } else if (key == "defense") {
-    if (!(err = asBool(&b)).empty()) return err;
-    params.reputation.defense = b;
-  } else if (key == "quarantine-threshold") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.reputation.quarantineThreshold = d;
-  } else if (key == "md-capacity") {
-    if (!(err = asInt(&i)).empty()) return err;
-    if (i < 0) return badValue(key, value, "a non-negative integer");
-    params.nodeMetadataCapacity = static_cast<std::size_t>(i);
-  } else if (key == "events-out") {
-    eventsOut = value;
-  } else if (key == "timeseries-out") {
-    timeseriesOut = value;
-  } else if (key == "sample-every") {
-    if (!(err = asInt(&i)).empty()) return err;
-    sampleEvery = static_cast<Duration>(i);
-  } else if (key == "checkpoint-out") {
-    checkpointOut = value;
-  } else if (key == "checkpoint-every") {
-    if (!(err = asInt(&i)).empty()) return err;
-    checkpointEvery = static_cast<Duration>(i);
-  } else if (key == "resume") {
-    if (!(err = asBool(&b)).empty()) return err;
-    resume = b;
-  } else {
-    return "unknown key '" + key + "'";
-  }
-  return "";
+  const Knob* knob = findKnob(key);
+  if (knob == nullptr) return "unknown key '" + key + "'";
+  return store(*knob, *this, value);
 }
 
 std::optional<Scenario> Scenario::parse(std::istream& in,
@@ -387,14 +423,6 @@ std::optional<Scenario> Scenario::parse(std::istream& in,
     }
     const std::string key(trim(std::string_view(trimmed).substr(0, eq)));
     const std::string value(trim(std::string_view(trimmed).substr(eq + 1)));
-    if (key.empty()) {
-      if (errors != nullptr) {
-        errors->push_back("line " + std::to_string(lineNumber) +
-                          ": empty key");
-      }
-      failed = true;
-      continue;
-    }
     const std::string error = scenario.apply(key, value);
     if (!error.empty()) {
       if (errors != nullptr) {
@@ -419,8 +447,33 @@ std::optional<Scenario> Scenario::fromFile(const std::string& path,
   return parse(in, errors);
 }
 
+namespace {
+
+/// Whether `family` is one of the '|'-separated `families`.
+bool familyIn(std::string_view families, std::string_view family) {
+  while (true) {
+    const std::size_t bar = families.find('|');
+    if (families.substr(0, bar) == family) return true;
+    if (bar == std::string_view::npos) return false;
+    families.remove_prefix(bar + 1);
+  }
+}
+
+}  // namespace
+
 std::vector<std::string> Scenario::validate() const {
   std::vector<std::string> errors = trace.validate();
+  // A generator knob only means something to its own families; off its
+  // default under another family it would be silently ignored.
+  const Scenario defaults;
+  for (const Knob& knob : kKnobs) {
+    if (knob.family != nullptr && !familyIn(knob.family, trace.family) &&
+        knob.show(*this) != knob.show(defaults)) {
+      errors.push_back(std::string(knob.key) + " applies to trace-family " +
+                       knob.family + ", but trace-family is '" + trace.family +
+                       "'");
+    }
+  }
   for (std::string& error : params.validate()) {
     errors.push_back(std::move(error));
   }
@@ -434,162 +487,6 @@ std::vector<std::string> Scenario::validate() const {
   return errors;
 }
 
-// --- ScenarioBuilder --------------------------------------------------------
-
-ScenarioBuilder& ScenarioBuilder::name(std::string value) {
-  scenario_.name = std::move(value);
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::traceFile(std::string path) {
-  scenario_.trace.family = "file";
-  scenario_.trace.path = std::move(path);
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::nusTrace(int students, int courses,
-                                           int days) {
-  scenario_.trace.family = "nus";
-  scenario_.trace.students = students;
-  scenario_.trace.courses = courses;
-  scenario_.trace.days = days;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::dieselNetTrace(int buses, int routes,
-                                                 int days) {
-  scenario_.trace.family = "dieselnet";
-  scenario_.trace.buses = buses;
-  scenario_.trace.routes = routes;
-  scenario_.trace.days = days;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::rwpTrace(int nodes, double hours) {
-  scenario_.trace.family = "rwp";
-  scenario_.trace.nodes = nodes;
-  scenario_.trace.hours = hours;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::traceSeed(std::uint64_t seed) {
-  scenario_.trace.seed = seed;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::protocol(ProtocolKind kind) {
-  scenario_.params.protocol.kind = kind;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::scheduling(Scheduling scheduling) {
-  scenario_.params.protocol.scheduling = scheduling;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::downloadMode(const std::string& name) {
-  return set("download-mode", name);
-}
-ScenarioBuilder& ScenarioBuilder::codedRedundancy(double redundancy) {
-  scenario_.params.coded.redundancy = redundancy;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::codedSparsity(double sparsity) {
-  scenario_.params.coded.sparsity = sparsity;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::accessFraction(double fraction) {
-  scenario_.params.internetAccessFraction = fraction;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::filesPerDay(int files) {
-  scenario_.params.newFilesPerDay = files;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::ttlDays(int days) {
-  scenario_.params.fileTtlDays = days;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::piecesPerFile(std::uint32_t pieces) {
-  scenario_.params.piecesPerFile = pieces;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::freeRiderFraction(double fraction) {
-  scenario_.params.freeRiderFraction = fraction;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::frequentContactDays(int days) {
-  scenario_.params.frequentContactPeriod = static_cast<Duration>(days) * kDay;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::seed(std::uint64_t value) {
-  scenario_.params.seed = value;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::faults(faults::FaultParams params) {
-  scenario_.params.faults = params;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::messageLossRate(double rate) {
-  scenario_.params.faults.messageLossRate = rate;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::contactTruncationRate(double rate) {
-  scenario_.params.faults.contactTruncationRate = rate;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::pieceCorruptionRate(double rate) {
-  scenario_.params.faults.pieceCorruptionRate = rate;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::churn(double downFraction,
-                                        Duration meanDowntime) {
-  scenario_.params.faults.churnDownFraction = downFraction;
-  scenario_.params.faults.churnMeanDowntime = meanDowntime;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::recovery(RecoveryParams params) {
-  scenario_.params.recovery = params;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::recoveryRetries(int maxRetries) {
-  scenario_.params.recovery.maxRetries = maxRetries;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::recoveryRepair(int perContact) {
-  scenario_.params.recovery.repairPerContact = perContact;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::recoveryFailover(bool enabled) {
-  scenario_.params.recovery.coordinatorFailover = enabled;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::metadataCapacity(std::size_t records) {
-  scenario_.params.nodeMetadataCapacity = records;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::eventsOut(std::string path) {
-  scenario_.eventsOut = std::move(path);
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::timeseriesOut(std::string path,
-                                                Duration sampleEvery) {
-  scenario_.timeseriesOut = std::move(path);
-  scenario_.sampleEvery = sampleEvery;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::set(const std::string& key,
-                                      const std::string& value) {
-  const std::string error = scenario_.apply(key, value);
-  if (!error.empty()) errors_.push_back(error);
-  return *this;
-}
-
-Scenario ScenarioBuilder::build() const {
-  std::vector<std::string> errors = errors_;
-  for (std::string& error : scenario_.validate()) {
-    errors.push_back(std::move(error));
-  }
-  if (!errors.empty()) {
-    std::string message = "invalid scenario '" + scenario_.name + "':";
-    for (const std::string& error : errors) message += "\n  " + error;
-    throw std::invalid_argument(message);
-  }
-  return scenario_;
-}
-
 // --- runScenario ------------------------------------------------------------
 
 namespace {
@@ -600,14 +497,6 @@ namespace {
 const volatile std::sig_atomic_t* g_stopFlag = nullptr;
 
 bool stopRequested() { return g_stopFlag != nullptr && *g_stopFlag != 0; }
-
-}  // namespace
-
-void setScenarioStopFlag(const volatile std::sig_atomic_t* flag) {
-  g_stopFlag = flag;
-}
-
-namespace {
 
 /// The driver state a checkpointing run stores in the checkpoint's extra
 /// blob: how far each output file had gotten (byte offsets, so a resume can
@@ -666,15 +555,22 @@ bool unpackCursor(const std::string& blob, ResumeCursor* cursor,
   }
 }
 
-/// Truncates an output file back to the offset the checkpoint recorded
-/// (dropping any tail written after the checkpoint but before the crash)
-/// and reopens it in append mode. Missing or too-short files fail loudly:
-/// the resume contract is byte identity, and a file that lost bytes before
-/// the recorded offset cannot honor it.
-bool reopenForResume(const std::string& path, std::uint64_t offset,
-                     const char* what, std::ofstream* out,
-                     std::string* error) {
+/// Opens an output for a fresh run, or — resuming — truncates it back to
+/// the offset the checkpoint recorded (dropping any tail written after the
+/// checkpoint but before the crash) and reopens it in append mode. Missing
+/// or too-short files fail loudly: the resume contract is byte identity,
+/// and a file that lost bytes before the recorded offset cannot honor it.
+bool openOutput(const std::string& path, bool resumed, std::uint64_t offset,
+                const char* what, std::ofstream* out, std::string* error) {
   namespace fs = std::filesystem;
+  if (!resumed) {
+    out->open(path);
+    if (!*out) {
+      if (error != nullptr) *error = "cannot write " + path;
+      return false;
+    }
+    return true;
+  }
   std::error_code ec;
   const auto size = fs::file_size(path, ec);
   if (ec) {
@@ -712,15 +608,25 @@ bool reopenForResume(const std::string& path, std::uint64_t offset,
   return true;
 }
 
-/// The checkpointing/resuming driver: advances the engine boundary by
-/// boundary (sample boundaries and checkpoint boundaries, in time order),
-/// writing the time series incrementally so every checkpoint can record the
-/// exact on-disk offsets of both outputs. Event execution is identical to
-/// obs::runSampled — only the bookkeeping between events differs.
-std::optional<ScenarioOutcome> runCheckpointed(
-    const Scenario& scenario, const trace::ContactTrace& trace,
-    std::string* error) {
-  namespace fs = std::filesystem;
+}  // namespace
+
+void setScenarioStopFlag(const volatile std::sig_atomic_t* flag) {
+  g_stopFlag = flag;
+}
+
+/// The run driver: advances the engine boundary by boundary (sample
+/// boundaries and, when checkpointing, checkpoint boundaries, in time
+/// order), writing the time series incrementally so every checkpoint can
+/// record the exact on-disk offsets of both outputs. Event execution is
+/// identical to Engine::run() and obs::runSampled — only the bookkeeping
+/// between events differs.
+std::optional<ScenarioOutcome> runScenario(const Scenario& scenario,
+                                           const trace::ContactTrace& trace,
+                                           std::string* error) {
+  for (const std::string& problem : scenario.validate()) {
+    if (error != nullptr) *error = problem;
+    return std::nullopt;
+  }
   ScenarioOutcome outcome;
   Engine engine(trace, scenario.params);
   const bool wantEvents = !scenario.eventsOut.empty();
@@ -729,9 +635,10 @@ std::optional<ScenarioOutcome> runCheckpointed(
   cursor.hasEvents = wantEvents;
   cursor.hasTimeseries = wantTimeseries;
   cursor.nextSample = scenario.sampleEvery;
-  cursor.nextCheckpoint = scenario.checkpointEvery;
-  std::uint64_t eventsWrittenBefore = 0;
-  if (scenario.resume && fs::exists(scenario.checkpointOut)) {
+  const bool checkpointing = !scenario.checkpointOut.empty();
+  cursor.nextCheckpoint =
+      checkpointing ? scenario.checkpointEvery : kTimeInfinity;
+  if (scenario.resume && std::filesystem::exists(scenario.checkpointOut)) {
     try {
       const CheckpointInfo info = readCheckpointInfo(scenario.checkpointOut);
       if (!unpackCursor(info.extra, &cursor, error)) return std::nullopt;
@@ -748,45 +655,33 @@ std::optional<ScenarioOutcome> runCheckpointed(
       if (error != nullptr) *error = e.what();
       return std::nullopt;
     }
-    eventsWrittenBefore = cursor.eventsWritten;
     outcome.resumed = true;
   }
   std::ofstream eventsFile;
   std::optional<obs::JsonlEventSink> sink;
   if (wantEvents) {
-    if (outcome.resumed) {
-      if (!reopenForResume(scenario.eventsOut, cursor.eventsOffset, "events",
-                           &eventsFile, error)) {
-        return std::nullopt;
-      }
-    } else {
-      eventsFile.open(scenario.eventsOut);
-      if (!eventsFile) {
-        if (error != nullptr) *error = "cannot write " + scenario.eventsOut;
-        return std::nullopt;
-      }
+    if (!openOutput(scenario.eventsOut, outcome.resumed, cursor.eventsOffset,
+                    "events", &eventsFile, error)) {
+      return std::nullopt;
     }
     sink.emplace(eventsFile);
     engine.setObserver(&*sink);
   }
   std::ofstream tsFile;
   if (wantTimeseries) {
-    if (outcome.resumed) {
-      if (!reopenForResume(scenario.timeseriesOut, cursor.timeseriesOffset,
-                           "timeseries", &tsFile, error)) {
-        return std::nullopt;
-      }
-    } else {
-      tsFile.open(scenario.timeseriesOut);
-      if (!tsFile) {
-        if (error != nullptr) {
-          *error = "cannot write " + scenario.timeseriesOut;
-        }
-        return std::nullopt;
-      }
-      obs::TimeSeries::writeCsvHeader(tsFile);
+    if (!openOutput(scenario.timeseriesOut, outcome.resumed,
+                    cursor.timeseriesOffset, "timeseries", &tsFile, error)) {
+      return std::nullopt;
     }
+    if (!outcome.resumed) obs::TimeSeries::writeCsvHeader(tsFile);
   }
+  // The on-disk bytes must match the offsets a checkpoint records, so
+  // outputs are flushed (and verified) before each one.
+  const auto flushSeries = [&] {
+    if (wantTimeseries && !tsFile.flush()) {
+      throw std::runtime_error("I/O error writing " + scenario.timeseriesOut);
+    }
+  };
   const SimTime end = engine.endTime();
   try {
     while (true) {
@@ -807,24 +702,16 @@ std::optional<ScenarioOutcome> runCheckpointed(
       // A preemption request checkpoints at whatever boundary comes next
       // (sample or checkpoint), so the stop latency is bounded by the
       // tighter of the two cadences.
-      const bool preempt = stopRequested();
+      const bool preempt = checkpointing && stopRequested();
       if (boundary == cursor.nextCheckpoint || preempt) {
         if (boundary == cursor.nextCheckpoint) {
           cursor.nextCheckpoint += scenario.checkpointEvery;
         }
-        // The on-disk bytes must match the offsets the checkpoint records,
-        // so flush (and verify) both outputs before writing it.
         if (sink) sink->finish();
-        if (wantTimeseries) {
-          tsFile.flush();
-          if (!tsFile) {
-            throw std::runtime_error("I/O error writing " +
-                                     scenario.timeseriesOut);
-          }
-        }
+        flushSeries();
         ResumeCursor at = cursor;
         at.eventsWritten =
-            eventsWrittenBefore + (sink ? sink->eventsWritten() : 0);
+            cursor.eventsWritten + (sink ? sink->eventsWritten() : 0);
         at.eventsOffset =
             wantEvents ? static_cast<std::uint64_t>(eventsFile.tellp()) : 0;
         at.timeseriesOffset =
@@ -833,83 +720,26 @@ std::optional<ScenarioOutcome> runCheckpointed(
       }
       if (preempt) {
         outcome.preempted = true;
-        outcome.result = engine.currentResult();
-        if (sink) {
-          outcome.eventsWritten = eventsWrittenBefore + sink->eventsWritten();
-        }
-        return outcome;
+        break;
       }
     }
-    outcome.result = engine.finish();
-    if (wantTimeseries) {
-      obs::TimeSeries::writeCsvRow(tsFile, {end, outcome.result});
-      tsFile.flush();
-      if (!tsFile) {
-        throw std::runtime_error("I/O error writing " +
-                                 scenario.timeseriesOut);
+    if (outcome.preempted) {
+      outcome.result = engine.currentResult();
+    } else {
+      outcome.result = engine.finish();
+      if (wantTimeseries) {
+        obs::TimeSeries::writeCsvRow(tsFile, {end, outcome.result});
       }
+      flushSeries();
+      if (sink) sink->finish();
     }
-    if (sink) sink->finish();
   } catch (const std::runtime_error& e) {
     if (error != nullptr) *error = e.what();
     return std::nullopt;
   }
   if (sink) {
-    outcome.eventsWritten = eventsWrittenBefore + sink->eventsWritten();
+    outcome.eventsWritten = cursor.eventsWritten + sink->eventsWritten();
   }
-  return outcome;
-}
-
-}  // namespace
-
-std::optional<ScenarioOutcome> runScenario(const Scenario& scenario,
-                                           const trace::ContactTrace& trace,
-                                           std::string* error) {
-  for (const std::string& problem : scenario.validate()) {
-    if (error != nullptr) *error = problem;
-    return std::nullopt;
-  }
-  if (!scenario.checkpointOut.empty()) {
-    return runCheckpointed(scenario, trace, error);
-  }
-  ScenarioOutcome outcome;
-  if (scenario.eventsOut.empty() && scenario.timeseriesOut.empty()) {
-    outcome.result = runSimulation(trace, scenario.params);
-    return outcome;
-  }
-  Engine engine(trace, scenario.params);
-  std::ofstream eventsFile;
-  std::optional<obs::JsonlEventSink> sink;
-  if (!scenario.eventsOut.empty()) {
-    eventsFile.open(scenario.eventsOut);
-    if (!eventsFile) {
-      if (error != nullptr) *error = "cannot write " + scenario.eventsOut;
-      return std::nullopt;
-    }
-    sink.emplace(eventsFile);
-    engine.setObserver(&*sink);
-  }
-  try {
-    if (!scenario.timeseriesOut.empty()) {
-      obs::TimeSeries series;
-      outcome.result = obs::runSampled(engine, scenario.sampleEvery, series);
-      std::ofstream tsFile(scenario.timeseriesOut);
-      if (!tsFile) {
-        if (error != nullptr) {
-          *error = "cannot write " + scenario.timeseriesOut;
-        }
-        return std::nullopt;
-      }
-      series.writeCsv(tsFile);
-    } else {
-      outcome.result = engine.run();
-    }
-    if (sink) sink->finish();
-  } catch (const std::runtime_error& e) {
-    if (error != nullptr) *error = e.what();
-    return std::nullopt;
-  }
-  if (sink) outcome.eventsWritten = sink->eventsWritten();
   return outcome;
 }
 

@@ -1,14 +1,15 @@
 // Declarative run configuration: one value type that owns everything a
 // simulation run needs — the trace source, the EngineParams (including
-// fault injection), and the output choices — plus a fluent builder and a
-// `key = value` file format.
+// fault injection), and the output choices — plus a `key = value` file
+// format.
 //
 // The Scenario is the preferred entry point for tools, benches, and tests:
 // instead of each binary re-implementing flag parsing, trace loading, and
 // sink plumbing, it configures a Scenario (from a file, from CLI overrides,
-// or through ScenarioBuilder) and calls runScenario(). All three paths
-// funnel through Scenario::apply(key, value), so a scenario-file key and
-// the matching hdtn_sim flag always have identical semantics.
+// or by assigning fields) and calls runScenario(). Files and flags both
+// funnel through Scenario::apply(key, value), and every key is one row of
+// the knob table (scenarioKnobs()), so a scenario-file key and the
+// matching hdtn_sim flag always have identical semantics.
 //
 // File format (see examples/*.scenario):
 //
@@ -21,12 +22,17 @@
 //   loss-rate       = 0.05
 //
 // Unknown keys and malformed values are reported with line numbers.
+// Parsing is strict: an integer must fit its field, a number must be
+// finite, and validate() rejects a trace key of another trace family.
 #pragma once
 
 #include <csignal>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "src/core/engine.hpp"
@@ -69,6 +75,58 @@ struct TraceSpec {
       std::string* error) const;
 };
 
+struct Scenario;
+
+/// One scenario key: the single definition that Scenario::apply() parses
+/// with, Scenario::validate() checks trace-family ownership with, and
+/// `hdtn_sim --help` lists.
+struct Knob {
+  /// How a Duration (int64 seconds) field is spelled: seconds, whole days,
+  /// or hours (fractions allowed, truncated to whole seconds).
+  enum class Unit { kSeconds, kDays, kHours };
+
+  /// A key spelled as a name from a fixed vocabulary (protocol names, the
+  /// download-mode registry, attack lists), or one that sets more than one
+  /// field (trace).
+  struct Choice {
+    /// Stores `value`; false when the vocabulary has no such name. May set
+    /// *rejected to the part of `value` at fault (a list's bad item).
+    bool (*parse)(Scenario& scenario, const std::string& value,
+                  std::string* rejected);
+    /// The current value, spelled as parse() accepts it.
+    std::string (*name)(const Scenario& scenario);
+    /// The accepted spellings, for error messages and --help.
+    const char* vocabulary;
+  };
+
+  /// The owning field, by reference; the alternative is the value kind.
+  using Field =
+      std::variant<int& (*)(Scenario&), std::uint32_t& (*)(Scenario&),
+                   std::uint64_t& (*)(Scenario&), std::int64_t& (*)(Scenario&),
+                   double& (*)(Scenario&), bool& (*)(Scenario&),
+                   std::string& (*)(Scenario&), Choice>;
+
+  const char* key;
+  Field field;
+  const char* help;
+  /// The trace families whose generators read this key, '|'-separated
+  /// ("nus|dieselnet"); nullptr when every family, trace files included,
+  /// reads it.
+  const char* family = nullptr;
+  Unit unit = Unit::kSeconds;
+  /// Rejects zero as well as negative values.
+  bool positive = false;
+
+  /// The key's value in `scenario`, spelled as apply() accepts it.
+  [[nodiscard]] std::string show(const Scenario& scenario) const;
+};
+
+/// Every scenario key, in the order hdtn_sim applies flag overrides.
+[[nodiscard]] std::span<const Knob> scenarioKnobs();
+
+/// The row for `key`, or nullptr.
+[[nodiscard]] const Knob* findKnob(std::string_view key);
+
 /// A complete, self-describing run configuration.
 struct Scenario {
   std::string name = "scenario";
@@ -99,9 +157,6 @@ struct Scenario {
   [[nodiscard]] std::string apply(const std::string& key,
                                   const std::string& value);
 
-  /// Every key apply() accepts, in a stable order (CLI override loops).
-  [[nodiscard]] static const std::vector<std::string>& knownKeys();
-
   /// Parses a `key = value` stream; collects line-numbered errors. Returns
   /// nullopt when any line fails.
   [[nodiscard]] static std::optional<Scenario> parse(
@@ -111,64 +166,10 @@ struct Scenario {
   [[nodiscard]] static std::optional<Scenario> fromFile(
       const std::string& path, std::vector<std::string>* errors);
 
-  /// Trace-spec problems + EngineParams::validate() + output sanity, one
-  /// message per violation; empty when the scenario can run.
+  /// Trace-spec problems + trace keys of another family left off their
+  /// defaults + EngineParams::validate() + output sanity, one message per
+  /// violation; empty when the scenario can run.
   [[nodiscard]] std::vector<std::string> validate() const;
-};
-
-/// Fluent scenario construction for tests and embedders:
-///
-///   auto s = ScenarioBuilder()
-///                .name("lossy-nus")
-///                .nusTrace(160, 32, 12)
-///                .protocol(ProtocolKind::kMbtQm)
-///                .messageLossRate(0.1)
-///                .build();  // throws std::invalid_argument when invalid
-class ScenarioBuilder {
- public:
-  ScenarioBuilder& name(std::string value);
-  ScenarioBuilder& traceFile(std::string path);
-  ScenarioBuilder& nusTrace(int students, int courses, int days);
-  ScenarioBuilder& dieselNetTrace(int buses, int routes, int days);
-  ScenarioBuilder& rwpTrace(int nodes, double hours);
-  ScenarioBuilder& traceSeed(std::uint64_t seed);
-  ScenarioBuilder& protocol(ProtocolKind kind);
-  ScenarioBuilder& scheduling(Scheduling scheduling);
-  /// Resolves a canonical registry name (coop, tft, popularity, pairwise,
-  /// coded) into downloadMode + scheduling; unknown names surface in
-  /// build().
-  ScenarioBuilder& downloadMode(const std::string& name);
-  ScenarioBuilder& codedRedundancy(double redundancy);
-  ScenarioBuilder& codedSparsity(double sparsity);
-  ScenarioBuilder& accessFraction(double fraction);
-  ScenarioBuilder& filesPerDay(int files);
-  ScenarioBuilder& ttlDays(int days);
-  ScenarioBuilder& piecesPerFile(std::uint32_t pieces);
-  ScenarioBuilder& freeRiderFraction(double fraction);
-  ScenarioBuilder& frequentContactDays(int days);
-  ScenarioBuilder& seed(std::uint64_t value);
-  ScenarioBuilder& faults(faults::FaultParams params);
-  ScenarioBuilder& messageLossRate(double rate);
-  ScenarioBuilder& contactTruncationRate(double rate);
-  ScenarioBuilder& pieceCorruptionRate(double rate);
-  ScenarioBuilder& churn(double downFraction, Duration meanDowntime);
-  ScenarioBuilder& recovery(RecoveryParams params);
-  ScenarioBuilder& recoveryRetries(int maxRetries);
-  ScenarioBuilder& recoveryRepair(int perContact);
-  ScenarioBuilder& recoveryFailover(bool enabled);
-  ScenarioBuilder& metadataCapacity(std::size_t records);
-  ScenarioBuilder& eventsOut(std::string path);
-  ScenarioBuilder& timeseriesOut(std::string path, Duration sampleEvery);
-  /// Generic escape hatch onto Scenario::apply(); errors surface in build().
-  ScenarioBuilder& set(const std::string& key, const std::string& value);
-
-  /// Validates and returns the scenario; throws std::invalid_argument
-  /// listing every problem (set() errors first, then Scenario::validate()).
-  [[nodiscard]] Scenario build() const;
-
- private:
-  Scenario scenario_;
-  std::vector<std::string> errors_;
 };
 
 /// What one scenario run produced beyond the engine result.

@@ -136,26 +136,8 @@ struct ReportAccumulator {
 };
 
 void addTotals(EngineTotals& into, const EngineTotals& t) {
-  into.contactsProcessed += t.contactsProcessed;
-  into.filesPublished += t.filesPublished;
-  into.queriesGenerated += t.queriesGenerated;
-  into.metadataBroadcasts += t.metadataBroadcasts;
-  into.pieceBroadcasts += t.pieceBroadcasts;
-  into.metadataReceptions += t.metadataReceptions;
-  into.pieceReceptions += t.pieceReceptions;
-  into.forgeriesCrafted += t.forgeriesCrafted;
-  into.forgeriesAccepted += t.forgeriesAccepted;
-  into.forgeriesRejected += t.forgeriesRejected;
-  into.faultMessagesDropped += t.faultMessagesDropped;
-  into.faultContactsTruncated += t.faultContactsTruncated;
-  into.faultPiecesRejectedCorrupt += t.faultPiecesRejectedCorrupt;
-  into.faultNodeDownIntervals += t.faultNodeDownIntervals;
-  into.recoveryFramesLost += t.recoveryFramesLost;
-  into.recoveryRetransmits += t.recoveryRetransmits;
-  into.recoveryRedeliveries += t.recoveryRedeliveries;
-  into.coordinatorFailovers += t.coordinatorFailovers;
-  into.repairRequests += t.repairRequests;
-  into.metadataEvictions += t.metadataEvictions;
+  forEachCounter([](std::uint64_t& sum, std::uint64_t part) { sum += part; },
+                 into, t);
 }
 
 /// Merges per-component results in canonical component order (the caller

@@ -266,10 +266,15 @@ std::string Daemon::handleCommand(const std::string& line) {
       for (const std::string& e : errors) joined += "; " + e;
       return errorReply(joined);
     }
+    bool priorityOk = true;
+    const int priority = getInt<int>(request, "priority", 0, &priorityOk);
+    if (!priorityOk) {
+      return errorReply("priority must be an integer that fits an int, got '" +
+                        getString(request, "priority") + "'");
+    }
     std::string error;
-    const std::uint64_t id = queue_->submit(
-        getString(request, "name"),
-        static_cast<int>(getInt(request, "priority")), scenarioText, &error);
+    const std::uint64_t id = queue_->submit(getString(request, "name"),
+                                            priority, scenarioText, &error);
     if (id == 0) return errorReply(error);
     return "{\"ok\":true,\"id\":" + std::to_string(id) + "}\n";
   }
@@ -277,7 +282,12 @@ std::string Daemon::handleCommand(const std::string& line) {
     return statusJson();
   }
   if (cmd == "cancel") {
-    const auto id = static_cast<std::uint64_t>(getInt(request, "id"));
+    bool idOk = true;
+    const auto id = getInt<std::uint64_t>(request, "id", 0, &idOk);
+    if (!idOk) {
+      return errorReply("id must be a non-negative integer, got '" +
+                        getString(request, "id") + "'");
+    }
     JobRecord* job = queue_->find(id);
     if (job == nullptr) {
       return errorReply("no such job " + std::to_string(id));

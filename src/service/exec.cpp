@@ -6,8 +6,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <mutex>
 #include <thread>
 
 namespace hdtn::service {
@@ -18,6 +20,69 @@ void sleepSeconds(double seconds) {
   if (seconds <= 0.0) return;
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
+
+// The process groups of the children runChild() is waiting on. Each child
+// leads its own group, so a terminal's Ctrl-C (sent to the foreground
+// group) no longer reaches it; the handler below passes SIGINT, SIGTERM and
+// SIGHUP on to every registered group before the caller dies of the signal.
+// Callers beyond the slot count run unregistered.
+constexpr std::size_t kForwardSlots = 64;
+std::atomic<pid_t> g_forwardTo[kForwardSlots];
+static_assert(std::atomic<pid_t>::is_always_lock_free);
+
+constexpr int kForwardedSignals[] = {SIGINT, SIGTERM, SIGHUP};
+
+void forwardAndDie(int sig) {
+  for (std::atomic<pid_t>& slot : g_forwardTo) {
+    const pid_t group = slot.load();
+    if (group > 0) kill(-group, sig);
+  }
+  // SA_RESETHAND restored the default action; SA_NODEFER lets it fire now.
+  raise(sig);
+}
+
+/// Installs forwardAndDie once, for each signal that still has its default
+/// action: a process with its own handler (the service daemon, a worker)
+/// keeps it.
+void installSignalForwarding() {
+  static std::once_flag once;
+  std::call_once(once, [] {
+    for (const int sig : kForwardedSignals) {
+      struct sigaction current {};
+      if (sigaction(sig, nullptr, &current) != 0 ||
+          current.sa_handler != SIG_DFL) {
+        continue;
+      }
+      struct sigaction forward {};
+      forward.sa_handler = forwardAndDie;
+      sigemptyset(&forward.sa_mask);
+      forward.sa_flags = SA_RESETHAND | SA_NODEFER;
+      sigaction(sig, &forward, nullptr);
+    }
+  });
+}
+
+/// Holds one forwarding slot for a running child's group.
+class ForwardingSlot {
+ public:
+  explicit ForwardingSlot(pid_t group) {
+    for (std::atomic<pid_t>& slot : g_forwardTo) {
+      pid_t empty = 0;
+      if (slot.compare_exchange_strong(empty, group)) {
+        slot_ = &slot;
+        return;
+      }
+    }
+  }
+  ~ForwardingSlot() {
+    if (slot_ != nullptr) slot_->store(0);
+  }
+  ForwardingSlot(const ForwardingSlot&) = delete;
+  ForwardingSlot& operator=(const ForwardingSlot&) = delete;
+
+ private:
+  std::atomic<pid_t>* slot_ = nullptr;
+};
 
 }  // namespace
 
@@ -45,7 +110,7 @@ std::string describeOutcome(const ChildOutcome& outcome,
 
 ChildProcess::~ChildProcess() {
   if (pid_ > 0 && !reaped_) {
-    kill(pid_, SIGKILL);
+    kill(-pid_, SIGKILL);
     waitpid(pid_, &status_, 0);
   }
   if (stdoutFd_ >= 0) close(stdoutFd_);
@@ -84,8 +149,11 @@ bool ChildProcess::start(const std::vector<std::string>& argv,
     return false;
   }
   if (pid == 0) {
-    // Child: stdout → pipe or log file, then exec. _exit(127) on exec
-    // failure keeps the failure visible as a distinct exit code.
+    // Child: its own process group (so a timeout or preemption signals
+    // every descendant, not just this process), stdout → pipe or log file,
+    // then exec. _exit(127) on exec failure keeps the failure visible as a
+    // distinct exit code.
+    setpgid(0, 0);
     if (logFd >= 0) {
       dup2(logFd, STDOUT_FILENO);
       dup2(logFd, STDERR_FILENO);
@@ -98,6 +166,9 @@ bool ChildProcess::start(const std::vector<std::string>& argv,
     execvp(args[0], args.data());
     _exit(127);
   }
+  // Also from the parent: whichever of the two runs first, the group exists
+  // before requestStop() or forceKill() can signal it.
+  setpgid(pid, pid);
   if (logFd >= 0) close(logFd);
   if (pipeFds[1] >= 0) close(pipeFds[1]);
   if (pipeFds[0] >= 0) {
@@ -136,14 +207,16 @@ bool ChildProcess::poll() {
   return true;
 }
 
+// Signals go to the child's process group (-pid), so grandchildren a
+// worker started die with it instead of outliving the deadline.
 void ChildProcess::requestStop() {
-  if (pid_ > 0 && !reaped_) kill(pid_, SIGTERM);
+  if (pid_ > 0 && !reaped_) kill(-pid_, SIGTERM);
 }
 
 void ChildProcess::forceKill(bool countAsTimeout) {
   if (pid_ > 0 && !reaped_) {
     if (countAsTimeout) timedOut_ = true;
-    kill(pid_, SIGKILL);
+    kill(-pid_, SIGKILL);
   }
 }
 
@@ -180,6 +253,7 @@ double ChildProcess::elapsedSeconds() const {
 
 ChildOutcome runChild(const std::vector<std::string>& argv,
                       double timeoutSeconds) {
+  installSignalForwarding();
   ChildProcess child;
   std::string error;
   if (!child.start(argv, "", &error)) {
@@ -189,6 +263,7 @@ ChildOutcome runChild(const std::vector<std::string>& argv,
     failed.output = error;
     return failed;
   }
+  const ForwardingSlot forwarding(child.pid());
   while (child.poll()) {
     if (child.elapsedSeconds() >= timeoutSeconds) {
       child.forceKill(/*countAsTimeout=*/true);

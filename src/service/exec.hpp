@@ -92,8 +92,11 @@ class ChildProcess {
   std::string captured_;
 };
 
-/// Runs argv to completion under a wall-clock budget, SIGKILLing it past
-/// the deadline. The synchronous path used by the batch supervisor.
+/// Runs argv to completion under a wall-clock budget, SIGKILLing its
+/// process group past the deadline. The synchronous path used by the batch
+/// supervisor. While the child runs, a SIGINT, SIGTERM or SIGHUP that would
+/// kill the caller by default is first passed on to the child's group, so
+/// a Ctrl-C stops both (a handler the caller installed is left alone).
 [[nodiscard]] ChildOutcome runChild(const std::vector<std::string>& argv,
                                     double timeoutSeconds);
 

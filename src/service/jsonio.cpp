@@ -200,17 +200,6 @@ std::string getString(const FlatObject& object, const std::string& key,
   return it == object.end() ? fallback : it->second;
 }
 
-std::int64_t getInt(const FlatObject& object, const std::string& key,
-                    std::int64_t fallback) {
-  const auto it = object.find(key);
-  if (it == object.end()) return fallback;
-  try {
-    return std::stoll(it->second);
-  } catch (...) {
-    return fallback;
-  }
-}
-
 bool getBool(const FlatObject& object, const std::string& key,
              bool fallback) {
   const auto it = object.find(key);

@@ -9,10 +9,12 @@
 // torn crash-tail from corruption.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace hdtn::service {
@@ -36,9 +38,23 @@ using FlatObject = std::map<std::string, std::string>;
 [[nodiscard]] std::string getString(const FlatObject& object,
                                     const std::string& key,
                                     const std::string& fallback = "");
-[[nodiscard]] std::int64_t getInt(const FlatObject& object,
-                                  const std::string& key,
-                                  std::int64_t fallback = 0);
+/// Integer field `key` as T. Returns `fallback` when the key is absent.
+/// A value that is not a whole base-10 integer fitting T ("12abc", "1.5",
+/// 2^32 for an int) also returns `fallback` and sets *ok to false; *ok is
+/// left untouched on success, so one flag can cover several fields.
+template <typename T = std::int64_t>
+[[nodiscard]] T getInt(const FlatObject& object, const std::string& key,
+                       std::type_identity_t<T> fallback = 0,
+                       bool* ok = nullptr) {
+  const auto it = object.find(key);
+  if (it == object.end()) return fallback;
+  const char* end = it->second.data() + it->second.size();
+  T value{};
+  const auto [ptr, ec] = std::from_chars(it->second.data(), end, value);
+  if (ec == std::errc() && ptr == end) return value;
+  if (ok != nullptr) *ok = false;
+  return fallback;
+}
 [[nodiscard]] bool getBool(const FlatObject& object, const std::string& key,
                            bool fallback = false);
 

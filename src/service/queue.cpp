@@ -150,7 +150,16 @@ void WorkQueue::applyLine(const std::string& source, int lineNumber,
     return;
   }
   const std::string op = getString(record, "op");
-  const auto id = static_cast<std::uint64_t>(getInt(record, "id"));
+  bool intsOk = true;
+  const auto id = getInt<std::uint64_t>(record, "id", 0, &intsOk);
+  const int priority = getInt<int>(record, "priority", 0, &intsOk);
+  const int attempts = getInt<int>(record, "attempts", 0, &intsOk);
+  const int preemptions = getInt<int>(record, "preemptions", 0, &intsOk);
+  if (!intsOk) {
+    warn("malformed entry (id, priority, attempts or preemptions is not an "
+         "integer in range)");
+    return;
+  }
   if (id == 0) {
     warn("entry without a job id");
     return;
@@ -159,7 +168,7 @@ void WorkQueue::applyLine(const std::string& source, int lineNumber,
     JobRecord job;
     job.spec.id = id;
     job.spec.name = getString(record, "name");
-    job.spec.priority = static_cast<int>(getInt(record, "priority"));
+    job.spec.priority = priority;
     job.spec.scenarioText = getString(record, "scenario");
     jobs_[id] = std::move(job);
     if (id >= nextId_) nextId_ = id + 1;
@@ -177,9 +186,8 @@ void WorkQueue::applyLine(const std::string& source, int lineNumber,
       return;
     }
     it->second.state = state;
-    it->second.attempts = static_cast<int>(getInt(record, "attempts"));
-    it->second.preemptions =
-        static_cast<int>(getInt(record, "preemptions"));
+    it->second.attempts = attempts;
+    it->second.preemptions = preemptions;
     it->second.resume = getBool(record, "resume");
     it->second.error = getString(record, "error");
     it->second.result = getString(record, "result");

@@ -418,7 +418,12 @@ class CheckpointErrors : public ::testing::Test {
   void SetUp() override {
     trace_ = nusTrace();
     params_ = paramsFor(ProtocolKind::kMbtQm, false);
-    path_ = ckptPath("errors");
+    // One file per test: ctest runs the fixture's tests as parallel
+    // processes, and a shared path lets one test overwrite another's file.
+    const std::string name =
+        std::string("errors_") +
+        testing::UnitTest::GetInstance()->current_test_info()->name();
+    path_ = ckptPath(name.c_str());
     Engine engine(trace_, params_);
     for (int i = 0; i < 20; ++i) ASSERT_TRUE(engine.step());
     engine.saveCheckpoint(path_);

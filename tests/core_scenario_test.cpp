@@ -1,22 +1,38 @@
 // Scenario: the declarative run configuration. Covers key application
-// (file keys == CLI flags, one semantics), the `key = value` parser with
-// line-numbered errors, the fluent builder, trace building for every
-// family, and runScenario() matching a hand-wired engine run.
+// (file keys == CLI flags, one semantics) and its strict parsing over every
+// row of the knob table, the `key = value` parser with line-numbered
+// errors, trace-family ownership, trace building for every family, and
+// runScenario() matching a hand-wired engine run.
 #include "src/core/scenario.hpp"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <sstream>
-#include <stdexcept>
+#include <type_traits>
 
 #include "src/core/checkpoint.hpp"
 #include "src/core/download_planner.hpp"
 #include "src/faults/adversary.hpp"
+#include "src/obs/event_log.hpp"
+#include "src/obs/timeseries.hpp"
+#include "src/service/exec.hpp"
 
 namespace hdtn::core {
 namespace {
+
+/// A generated NUS campus scenario of the given size.
+Scenario nusScenario(int students, int courses, int days) {
+  Scenario s;
+  s.trace.family = "nus";
+  s.trace.students = students;
+  s.trace.courses = courses;
+  s.trace.days = days;
+  return s;
+}
 
 TEST(ScenarioApply, DownloadModeRoundTripsThroughRegistry) {
   // parse -> format must be the identity for every registered mode name:
@@ -76,25 +92,11 @@ TEST(ScenarioApply, AdversaryKnobsRejectBadValues) {
   // The rejection names the offending token and the accepted vocabulary.
   EXPECT_NE(maskError.find("rateless"), std::string::npos);
   EXPECT_NE(maskError.find("pollution"), std::string::npos);
+  // In a list, the error quotes the bad item, not the whole value.
+  const std::string itemError = s.apply("adversary-attacks", "pollution,bogus");
+  EXPECT_NE(itemError.find("got 'bogus'"), std::string::npos) << itemError;
   EXPECT_NE(s.apply("defense", "maybe"), "");
   EXPECT_NE(s.apply("quarantine-threshold", "steep"), "");
-}
-
-TEST(ScenarioBuilder, DownloadModeMethodsWork) {
-  const Scenario s = ScenarioBuilder()
-                         .nusTrace(30, 6, 3)
-                         .protocol(ProtocolKind::kMbt)
-                         .downloadMode("coded")
-                         .codedRedundancy(0.75)
-                         .codedSparsity(0.5)
-                         .build();
-  EXPECT_EQ(s.params.downloadMode, DownloadMode::kCoded);
-  EXPECT_EQ(s.params.coded.redundancy, 0.75);
-  EXPECT_THROW((void)ScenarioBuilder()
-                   .nusTrace(30, 6, 3)
-                   .downloadMode("bogus")
-                   .build(),
-               std::invalid_argument);
 }
 
 TEST(ScenarioApply, SetsEngineAndFaultAndTraceFields) {
@@ -138,24 +140,191 @@ TEST(ScenarioApply, RejectsUnknownKeysAndBadValues) {
   EXPECT_NE(s.apply("churn-downtime-hours", "-1"), "");
 }
 
+/// A valid, non-default spelling for each vocabulary-valued key.
+const std::map<std::string, std::string> kChoiceProbes = {
+    {"trace", "campus.trace"},     {"protocol", "mbt-qm"},
+    {"scheduling", "tft"},         {"download-mode", "coded"},
+    {"adversary-attacks", "pollution,ack-spoof"}};
+
+/// What `hdtn_sim --help` prints (the usage text goes to stderr).
+std::string simHelpText() {
+  return service::runChild(
+             {"/bin/sh", "-c", std::string(HDTN_SIM_BINARY) + " --help 2>&1"},
+             60.0)
+      .output;
+}
+
 TEST(ScenarioApply, EveryKnownKeyIsAccepted) {
-  // knownKeys() is what the CLI override loop iterates; a key present
-  // there but rejected by apply() would make a valid flag unusable.
-  for (const std::string& key : Scenario::knownKeys()) {
-    Scenario s;
-    const std::string numeric = s.apply(key, "1");
-    const std::string text = s.apply(key, "mbt");
-    // scheduling, download-mode, and adversary-attacks only take their
-    // registry/attack names, which overlap with neither probe value.
-    EXPECT_TRUE(numeric.empty() || text.empty() || key == "scheduling" ||
-                key == "download-mode" || key == "adversary-attacks")
-        << "key '" << key << "' rejects both '1' and 'mbt'";
-    if (key == "download-mode") {
-      EXPECT_EQ(s.apply(key, "coop"), "");
-    }
-    if (key == "adversary-attacks") {
-      EXPECT_EQ(s.apply(key, "all"), "");
-    }
+  // The knob table is what the CLI override loop iterates. Every row must
+  // accept a valid value into its field, reject a malformed one strictly
+  // (naming the key), and be listed by hdtn_sim --help.
+  const std::string help = simHelpText();
+  for (const Knob& knob : scenarioKnobs()) {
+    SCOPED_TRACE(knob.key);
+    const std::string key = knob.key;
+    // Listed by hdtn_sim --help, with the default of a fresh Scenario.
+    const std::string shown = knob.show(Scenario{});
+    EXPECT_NE(help.find("--" + key + "=" + (shown.empty() ? "PATH" : shown)),
+              std::string::npos);
+    // Rejections name the key.
+    const auto rejects = [&](const std::string& value) {
+      Scenario s;
+      const std::string error = s.apply(key, value);
+      EXPECT_NE(error.find("'" + key + "'"), std::string::npos)
+          << "value '" << value << "' got: '" << error << "'";
+    };
+    std::visit(
+        [&](auto field) {
+          if constexpr (std::is_same_v<decltype(field), Knob::Choice>) {
+            ASSERT_EQ(kChoiceProbes.count(key), 1u) << "add a probe value";
+            const std::string value = kChoiceProbes.at(key);
+            Scenario s;
+            EXPECT_EQ(s.apply(key, value), "");
+            EXPECT_EQ(knob.show(s), value);
+            if (key != "trace") rejects("no-such-" + key);
+          } else {
+            Scenario s;
+            auto& target = field(s);
+            using T = std::remove_reference_t<decltype(target)>;
+            if constexpr (std::is_same_v<T, std::string>) {
+              EXPECT_EQ(s.apply(key, "some text"), "");
+              EXPECT_EQ(target, "some text");
+            } else if constexpr (std::is_same_v<T, bool>) {
+              EXPECT_EQ(s.apply(key, "true"), "");
+              EXPECT_TRUE(target);
+              rejects("maybe");
+            } else if constexpr (std::is_floating_point_v<T>) {
+              EXPECT_EQ(s.apply(key, "0.25"), "");
+              EXPECT_EQ(target, 0.25);
+              for (const char* bad : {"nan", "inf", "-inf", "1e999", "many"}) {
+                rejects(bad);
+              }
+            } else if (knob.unit == Knob::Unit::kHours) {
+              EXPECT_EQ(s.apply(key, "1.5"), "");
+              EXPECT_EQ(target, static_cast<T>(1.5 * kHour));
+              for (const char* bad : {"nan", "inf", "-inf", "1e300", "x"}) {
+                rejects(bad);
+              }
+            } else {
+              const T scale = knob.unit == Knob::Unit::kDays ? kDay : 1;
+              EXPECT_EQ(s.apply(key, "7"), "");
+              EXPECT_EQ(target, 7 * scale);
+              EXPECT_EQ(knob.show(s), "7");
+              for (const char* bad : {"3.5", "12abc", "", "seven"}) {
+                rejects(bad);
+              }
+              // An integer is stored only when it fits the field (in the
+              // key's unit); every 32-bit field rejects both probes.
+              const long double max =
+                  static_cast<long double>(std::numeric_limits<T>::max()) /
+                  scale;
+              for (const char* probe :
+                   {"4294967297", "9223372036854775808",
+                    "18446744073709551616"}) {
+                if (std::stold(probe) > max) {
+                  rejects(probe);
+                } else {
+                  Scenario fits;
+                  EXPECT_EQ(fits.apply(key, probe), "") << probe;
+                }
+              }
+              if constexpr (sizeof(T) <= 4) rejects("4294967297");
+              if constexpr (std::is_unsigned_v<T>) rejects("-1");
+            }
+          }
+        },
+        knob.field);
+  }
+}
+
+// --- the defects strict parsing closes, one test each ---------------------
+
+TEST(ScenarioApply, RejectsFilesPerDayThatWouldNarrowToOne) {
+  Scenario s;
+  const std::string error = s.apply("files-per-day", "4294967297");
+  EXPECT_NE(error.find("files-per-day"), std::string::npos) << error;
+  EXPECT_EQ(s.params.newFilesPerDay, 40);
+}
+
+TEST(ScenarioApply, RejectsPiecesPerFileThatWouldNarrowToOne) {
+  Scenario s;
+  const std::string error = s.apply("pieces-per-file", "4294967297");
+  EXPECT_NE(error.find("pieces-per-file"), std::string::npos) << error;
+  EXPECT_EQ(s.params.piecesPerFile, 1u);
+}
+
+TEST(ScenarioApply, RejectsNanAttendance) {
+  Scenario s;
+  const std::string error = s.apply("trace-attendance", "nan");
+  EXPECT_NE(error.find("trace-attendance"), std::string::npos) << error;
+  EXPECT_EQ(s.trace.attendance, 0.85);
+}
+
+TEST(ScenarioApply, RejectsNegativeSeed) {
+  Scenario s;
+  const std::string error = s.apply("seed", "-1");
+  EXPECT_NE(error.find("seed"), std::string::npos) << error;
+  EXPECT_EQ(s.params.seed, 42u);
+}
+
+TEST(ScenarioApply, RejectsInfiniteQuarantineThreshold) {
+  Scenario s;
+  const std::string error = s.apply("quarantine-threshold", "inf");
+  EXPECT_NE(error.find("quarantine-threshold"), std::string::npos) << error;
+  EXPECT_EQ(s.params.reputation.quarantineThreshold, 3.0);
+}
+
+TEST(ScenarioValidate, RejectsTraceKeyOfAnotherFamily) {
+  Scenario s = nusScenario(24, 6, 3);
+  EXPECT_EQ(s.apply("trace-buses", "7"), "");
+  const std::vector<std::string> errors = s.validate();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("trace-buses"), std::string::npos) << errors[0];
+  // At its default the key is harmless, and it is fine for its own family.
+  s.trace.buses = TraceSpec{}.buses;
+  EXPECT_TRUE(s.validate().empty());
+  Scenario diesel;
+  diesel.trace.family = "dieselnet";
+  diesel.trace.buses = 7;
+  EXPECT_TRUE(diesel.validate().empty());
+  // Generator keys: a trace file reads neither the seed nor the days, and
+  // the random-waypoint generator runs for trace-hours, not days.
+  Scenario file;
+  EXPECT_EQ(file.apply("trace", "x.trace"), "");
+  EXPECT_TRUE(file.validate().empty());
+  EXPECT_EQ(file.apply("trace-seed", "7"), "");
+  EXPECT_EQ(file.apply("trace-days", "3"), "");
+  const std::vector<std::string> fileErrors = file.validate();
+  ASSERT_EQ(fileErrors.size(), 2u);
+  EXPECT_NE(fileErrors[0].find("trace-seed"), std::string::npos);
+  EXPECT_NE(fileErrors[1].find("trace-days"), std::string::npos);
+  Scenario rwp;
+  rwp.trace.family = "rwp";
+  rwp.trace.seed = 7;
+  EXPECT_TRUE(rwp.validate().empty());
+  rwp.trace.days = 3;
+  ASSERT_EQ(rwp.validate().size(), 1u);
+  EXPECT_NE(rwp.validate()[0].find("trace-days"), std::string::npos);
+}
+
+TEST(ScenarioCli, ReproducedDefectsExitTwoNamingTheKey) {
+  for (const char* flag :
+       {"--files-per-day=4294967297", "--pieces-per-file=4294967297",
+        "--trace-attendance=nan", "--seed=-1", "--quarantine-threshold=inf",
+        "--trace-buses=7"}) {
+    const std::string key =
+        std::string(flag).substr(2, std::string(flag).find('=') - 2);
+    const service::ChildOutcome run = service::runChild(
+        {"/bin/sh", "-c",
+         std::string(HDTN_SIM_BINARY) +
+             " --trace-family=nus --trace-students=20 --trace-courses=4"
+             " --trace-days=2 --csv " +
+             flag + " 2>&1"},
+        60.0);
+    EXPECT_EQ(run.cause, service::ExitCause::kCleanExit) << flag;
+    EXPECT_EQ(run.exitCode, 2) << flag << ": " << run.output;
+    EXPECT_NE(run.output.find(key), std::string::npos)
+        << flag << ": " << run.output;
   }
 }
 
@@ -241,48 +410,56 @@ TEST(TraceSpec, RejectsUnknownFamilyAndMissingPath) {
   EXPECT_FALSE(spec.build(&error).has_value());
 }
 
-TEST(ScenarioBuilder, FluentConstructionRoundTrips) {
-  const Scenario s = ScenarioBuilder()
-                         .name("builder-run")
-                         .nusTrace(24, 6, 3)
-                         .traceSeed(9)
-                         .protocol(ProtocolKind::kMbtQ)
-                         .accessFraction(0.4)
-                         .filesPerDay(8)
-                         .ttlDays(2)
-                         .frequentContactDays(1)
-                         .seed(11)
-                         .messageLossRate(0.1)
-                         .churn(0.2, 3 * kHour)
-                         .build();
-  EXPECT_EQ(s.name, "builder-run");
-  EXPECT_EQ(s.trace.family, "nus");
-  EXPECT_EQ(s.trace.students, 24);
-  EXPECT_EQ(s.params.faults.messageLossRate, 0.1);
-  EXPECT_EQ(s.params.faults.churnDownFraction, 0.2);
-}
-
-TEST(ScenarioBuilder, BuildThrowsListingEveryProblem) {
-  ScenarioBuilder builder;
-  builder.nusTrace(24, 6, 3).filesPerDay(0).set("no-such-key", "1");
-  try {
-    (void)builder.build();
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("no-such-key"), std::string::npos);
-    EXPECT_NE(what.find("newFilesPerDay"), std::string::npos);
+TEST(ScenarioApply, MatchesDirectFieldAssignment) {
+  // Keys applied as text and fields assigned in C++ are one configuration.
+  Scenario assigned = nusScenario(24, 6, 3);
+  assigned.name = "assigned";
+  assigned.trace.seed = 9;
+  assigned.params.protocol.kind = ProtocolKind::kMbtQ;
+  assigned.params.internetAccessFraction = 0.4;
+  assigned.params.newFilesPerDay = 8;
+  assigned.params.fileTtlDays = 2;
+  assigned.params.frequentContactPeriod = kDay;
+  assigned.params.seed = 11;
+  assigned.params.faults.messageLossRate = 0.1;
+  assigned.params.faults.churnDownFraction = 0.2;
+  assigned.params.faults.churnMeanDowntime = 3 * kHour;
+  EXPECT_TRUE(assigned.validate().empty());
+  std::istringstream in(
+      "name = assigned\ntrace-family = nus\ntrace-students = 24\n"
+      "trace-courses = 6\ntrace-days = 3\ntrace-seed = 9\n"
+      "protocol = mbt-q\naccess = 0.4\nfiles-per-day = 8\nttl-days = 2\n"
+      "frequent-days = 1\nseed = 11\nloss-rate = 0.1\n"
+      "churn-fraction = 0.2\nchurn-downtime-hours = 3\n");
+  std::vector<std::string> errors;
+  const auto parsed = Scenario::parse(in, &errors);
+  ASSERT_TRUE(parsed.has_value()) << errors.front();
+  for (const Knob& knob : scenarioKnobs()) {
+    EXPECT_EQ(knob.show(*parsed), knob.show(assigned)) << knob.key;
   }
 }
 
+TEST(ScenarioValidate, ListsEveryProblem) {
+  Scenario s = nusScenario(24, 6, 3);
+  const std::string unknown = s.apply("no-such-key", "1");
+  EXPECT_NE(unknown.find("no-such-key"), std::string::npos);
+  s.params.newFilesPerDay = 0;
+  s.sampleEvery = 0;
+  s.trace.buses = 7;
+  const std::vector<std::string> errors = s.validate();
+  std::string all;
+  for (const std::string& e : errors) all += e + "\n";
+  EXPECT_EQ(errors.size(), 3u) << all;
+  EXPECT_NE(all.find("newFilesPerDay"), std::string::npos) << all;
+  EXPECT_NE(all.find("sample-every"), std::string::npos) << all;
+  EXPECT_NE(all.find("trace-buses"), std::string::npos) << all;
+}
+
 TEST(RunScenario, MatchesHandWiredEngineRun) {
-  const Scenario s = ScenarioBuilder()
-                         .name("equivalence")
-                         .nusTrace(24, 6, 3)
-                         .protocol(ProtocolKind::kMbtQm)
-                         .frequentContactDays(1)
-                         .messageLossRate(0.2)
-                         .build();
+  Scenario s = nusScenario(24, 6, 3);
+  s.params.protocol.kind = ProtocolKind::kMbtQm;
+  s.params.frequentContactPeriod = kDay;
+  s.params.faults.messageLossRate = 0.2;
   std::string error;
   const auto trace = s.trace.build(&error);
   ASSERT_TRUE(trace.has_value()) << error;
@@ -296,11 +473,8 @@ TEST(RunScenario, MatchesHandWiredEngineRun) {
 }
 
 TEST(RunScenario, ConvenienceOverloadBuildsTheTrace) {
-  const Scenario s = ScenarioBuilder()
-                         .name("one-call")
-                         .nusTrace(20, 4, 2)
-                         .frequentContactDays(1)
-                         .build();
+  Scenario s = nusScenario(20, 4, 2);
+  s.params.frequentContactPeriod = kDay;
   std::string error;
   const auto outcome = runScenario(s, &error);
   ASSERT_TRUE(outcome.has_value()) << error;
@@ -328,16 +502,15 @@ std::string readAll(const std::string& path) {
 /// deliberately misaligned (6 h vs 8 h), so boundaries of all three kinds
 /// (sample-only, checkpoint-only, shared at 24 h) occur.
 Scenario resumableScenario(const std::string& dir, bool resume) {
-  Scenario s = ScenarioBuilder()
-                   .name("resumable")
-                   .nusTrace(30, 6, 3)
-                   .protocol(ProtocolKind::kMbtQm)
-                   .filesPerDay(10)
-                   .frequentContactDays(1)
-                   .messageLossRate(0.1)
-                   .eventsOut(dir + "/events.jsonl")
-                   .timeseriesOut(dir + "/series.csv", 6 * kHour)
-                   .build();
+  Scenario s = nusScenario(30, 6, 3);
+  s.name = "resumable";
+  s.params.protocol.kind = ProtocolKind::kMbtQm;
+  s.params.newFilesPerDay = 10;
+  s.params.frequentContactPeriod = kDay;
+  s.params.faults.messageLossRate = 0.1;
+  s.eventsOut = dir + "/events.jsonl";
+  s.timeseriesOut = dir + "/series.csv";
+  s.sampleEvery = 6 * kHour;
   s.checkpointOut = dir + "/run.ckpt";
   s.checkpointEvery = 8 * kHour;
   s.resume = resume;
@@ -349,23 +522,56 @@ TEST(RunScenarioCheckpoint, CheckpointedRunMatchesPlainRun) {
   std::filesystem::remove_all(dir);  // leftovers from a prior ctest run
   std::filesystem::create_directories(dir);
   std::string error;
-  // Reference: same scenario with checkpointing off.
-  Scenario plain = resumableScenario(dir, false);
-  plain.checkpointOut.clear();
-  plain.eventsOut = dir + "/ref_events.jsonl";
-  plain.timeseriesOut = dir + "/ref_series.csv";
-  const auto ref = runScenario(plain, &error);
-  ASSERT_TRUE(ref.has_value()) << error;
+  // Reference built without runScenario: an engine with a JSONL sink
+  // attached, sampled by obs::runSampled, the series written by writeCsv.
+  const Scenario base = resumableScenario(dir, false);
+  const auto trace = base.trace.build(&error);
+  ASSERT_TRUE(trace.has_value()) << error;
+  std::ostringstream wantEvents;
+  std::ostringstream wantSeries;
+  std::uint64_t wantWritten = 0;
+  EngineResult wantResult;
+  {
+    Engine engine(*trace, base.params);
+    obs::JsonlEventSink sink(wantEvents);
+    engine.setObserver(&sink);
+    obs::TimeSeries series;
+    wantResult = obs::runSampled(engine, base.sampleEvery, series);
+    sink.finish();
+    wantWritten = sink.eventsWritten();
+    series.writeCsv(wantSeries);
+  }
+  ASSERT_GT(wantWritten, 0u);
 
-  const Scenario ckpt = resumableScenario(dir, false);
-  const auto outcome = runScenario(ckpt, &error);
-  ASSERT_TRUE(outcome.has_value()) << error;
-  EXPECT_FALSE(outcome->resumed);
-  EXPECT_EQ(outcome->eventsWritten, ref->eventsWritten);
-  EXPECT_EQ(readAll(ckpt.eventsOut), readAll(plain.eventsOut));
-  EXPECT_EQ(readAll(ckpt.timeseriesOut), readAll(plain.timeseriesOut));
+  // Checkpoints off and on, with and without a time series (without one
+  // the driver stops only at checkpoint boundaries, or not at all).
+  for (const bool checkpointing : {false, true}) {
+    for (const bool sampling : {true, false}) {
+      SCOPED_TRACE(std::string(checkpointing ? "checkpoints on"
+                                             : "checkpoints off") +
+                   (sampling ? ", sampled" : ", unsampled"));
+      Scenario s = resumableScenario(dir, false);
+      if (!checkpointing) s.checkpointOut.clear();
+      if (!sampling) s.timeseriesOut.clear();
+      std::filesystem::remove(dir + "/series.csv");
+      const auto outcome = runScenario(s, *trace, &error);
+      ASSERT_TRUE(outcome.has_value()) << error;
+      EXPECT_FALSE(outcome->resumed);
+      EXPECT_EQ(outcome->eventsWritten, wantWritten);
+      EXPECT_EQ(readAll(s.eventsOut), wantEvents.str());
+      EXPECT_EQ(std::filesystem::exists(dir + "/series.csv"), sampling);
+      if (sampling) {
+        EXPECT_EQ(readAll(s.timeseriesOut), wantSeries.str());
+      }
+      EXPECT_EQ(outcome->result.delivery.filesDelivered,
+                wantResult.delivery.filesDelivered);
+      EXPECT_EQ(outcome->result.totals.pieceBroadcasts,
+                wantResult.totals.pieceBroadcasts);
+    }
+  }
   // The last periodic checkpoint is left behind and is a valid file.
-  const CheckpointInfo info = readCheckpointInfo(ckpt.checkpointOut);
+  const CheckpointInfo info =
+      readCheckpointInfo(resumableScenario(dir, false).checkpointOut);
   EXPECT_EQ(info.version, kCheckpointVersion);
   EXPECT_GT(info.executedEvents, 0u);
 }

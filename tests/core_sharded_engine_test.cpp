@@ -208,6 +208,33 @@ TEST(ShardedEngine, MergedResultEqualsComponentSum) {
   EXPECT_EQ(merged.totals.contactsProcessed, diesel.contactCount());
 }
 
+TEST(ShardedEngine, MergedTotalsSumEveryCounterOfCodedAdversarialRuns) {
+  // Coded download with Byzantine pollution and the defense on, so the
+  // coded, adversary and defense counters are all live.
+  const auto diesel = smallDieselTrace();
+  ShardedParams params = shardedParams(ProtocolKind::kMbtQm, 2, 2);
+  params.engine.downloadMode = DownloadMode::kCoded;
+  params.engine.piecesPerFile = 4;
+  params.engine.faults.messageLossRate = 0.1;
+  params.engine.adversary.byzantineFraction = 0.3;
+  params.engine.reputation.defense = true;
+  ShardedEngine sharded(diesel, params);
+  sharded.runUntil(sharded.endTime());
+  EngineTotals sum;
+  for (std::size_t i = 0; i < sharded.componentCount(); ++i) {
+    forEachCounter([](std::uint64_t& total, std::uint64_t part) {
+      total += part;
+    }, sum, sharded.component(i).totals());
+  }
+  const EngineTotals merged = sharded.currentResult().totals;
+  int counter = 0;
+  forEachCounter([&](std::uint64_t got, std::uint64_t want) {
+    EXPECT_EQ(got, want) << "counter #" << counter++;
+  }, merged, sum);
+  EXPECT_GT(merged.codedBroadcasts, 0u);
+  EXPECT_GT(merged.adversaryAttacks, 0u);
+}
+
 TEST(ShardedEngine, SharedPublishStreamKeepsCatalogsAligned) {
   // Every component publishes the same daily catalog through the shared
   // publish horizon: merged filesPublished is componentCount * days *

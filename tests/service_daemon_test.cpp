@@ -59,6 +59,19 @@ TEST(ServiceDaemonTest, RejectsAnInvalidScenarioAtSubmitTime) {
                       "no-such-key = 1\n", &error),
             0u);
   EXPECT_NE(error.find("invalid scenario"), std::string::npos);
+  // Integers that do not fit their field are refused too, not wrapped: a
+  // priority of 2^32 used to run as priority 0.
+  std::string reply;
+  ASSERT_TRUE(roundTrip(harness.socketPath(),
+                        "{\"cmd\":\"submit\",\"priority\":4294967296,"
+                        "\"scenario\":\"" +
+                            jsonEscape(quickScenario(1)) + "\"}",
+                        &reply));
+  EXPECT_NE(reply.find("\"ok\":false"), std::string::npos) << reply;
+  EXPECT_NE(reply.find("priority"), std::string::npos) << reply;
+  ASSERT_TRUE(roundTrip(harness.socketPath(),
+                        "{\"cmd\":\"cancel\",\"id\":\"12abc\"}", &reply));
+  EXPECT_NE(reply.find("id must be"), std::string::npos) << reply;
   // Nothing was accepted, so nothing is pending.
   FlatObject top;
   (void)statusJobs(harness.socketPath(), &top);

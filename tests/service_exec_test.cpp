@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -38,6 +42,62 @@ TEST(RunChildTest, CapturesExitCodeAndOutput) {
 TEST(RunChildTest, KillsPastTheDeadline) {
   const ChildOutcome run = runChild({"/bin/sh", "-c", "sleep 30"}, 0.3);
   EXPECT_EQ(run.cause, ExitCause::kTimedOut);
+}
+
+/// True once `pid` no longer runs: gone, or a zombie awaiting its reaper.
+bool processGone(pid_t pid, double withinSeconds) {
+  const double deadline = monotonicSeconds() + withinSeconds;
+  do {
+    if (kill(pid, 0) != 0) return true;
+    std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+    std::string pidField, comm, state;
+    if (stat >> pidField >> comm >> state && state == "Z") return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  } while (monotonicSeconds() < deadline);
+  return false;
+}
+
+TEST(RunChildTest, DeadlineKillTakesTheGrandchildrenToo) {
+  // The child backgrounds a grandchild and prints its pid; signalling only
+  // the direct child would orphan the grandchild with the pipe still open.
+  const double start = monotonicSeconds();
+  const ChildOutcome run =
+      runChild({"/bin/sh", "-c", "sleep 30 & echo $!; wait"}, 0.5);
+  EXPECT_EQ(run.cause, ExitCause::kTimedOut);
+  ASSERT_FALSE(run.output.empty());
+  const pid_t grandchild = static_cast<pid_t>(std::stol(run.output));
+  EXPECT_TRUE(processGone(grandchild, 5.0)) << "pid " << grandchild;
+  EXPECT_LT(monotonicSeconds() - start, 10.0);
+}
+
+TEST(RunChildTest, InterruptingTheCallerStopsTheChildToo) {
+  // The child leads its own process group, so a terminal's Ctrl-C reaches
+  // only the caller; runChild passes it on before the caller dies of it.
+  const std::string pidFile = testing::TempDir() + "/forwarded_child.pid";
+  std::filesystem::remove(pidFile);
+  const pid_t caller = fork();
+  ASSERT_GE(caller, 0);
+  if (caller == 0) {
+    (void)runChild(
+        {"/bin/sh", "-c", "echo $$ > " + pidFile + ".tmp && mv " + pidFile +
+                              ".tmp " + pidFile + " && exec sleep 30"},
+        60.0);
+    _exit(0);
+  }
+  pid_t child = 0;
+  const double deadline = monotonicSeconds() + 10.0;
+  while (child == 0 && monotonicSeconds() < deadline) {
+    std::ifstream in(pidFile);
+    if (!(in >> child)) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GT(child, 0);
+  // runChild registers the group right after the fork; leave it a moment.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  kill(caller, SIGINT);
+  int status = 0;
+  ASSERT_EQ(waitpid(caller, &status, 0), caller);
+  EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGINT) << status;
+  EXPECT_TRUE(processGone(child, 5.0)) << "pid " << child;
 }
 
 TEST(RunChildTest, ReportsTheFatalSignal) {

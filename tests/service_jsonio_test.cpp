@@ -31,6 +31,29 @@ TEST(ParseFlatObjectTest, ParsesStringsNumbersBoolsAndNull) {
   EXPECT_EQ(getInt(fields, "missing", 7), 7);
 }
 
+TEST(ParseFlatObjectTest, GetIntRejectsTrailingBytesAndNarrowing) {
+  FlatObject fields;
+  ASSERT_TRUE(parseFlatObject(
+      "{\"priority\":4294967296,\"id\":\"12abc\",\"n\":\"-7\"}", &fields,
+      nullptr));
+  bool ok = true;
+  // 2^32 is a fine int64 but must not wrap to 0 as an int.
+  EXPECT_EQ(getInt(fields, "priority", 0, &ok), 4294967296);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(getInt<int>(fields, "priority", -1, &ok), -1);
+  EXPECT_FALSE(ok);
+  ok = true;
+  EXPECT_EQ(getInt(fields, "id", 5, &ok), 5);  // not 12
+  EXPECT_FALSE(ok);
+  ok = true;
+  EXPECT_EQ(getInt<std::uint64_t>(fields, "n", 3, &ok), 3u);
+  EXPECT_FALSE(ok);
+  ok = true;
+  EXPECT_EQ(getInt<int>(fields, "n", 0, &ok), -7);
+  EXPECT_EQ(getInt<int>(fields, "missing", 9, &ok), 9);
+  EXPECT_TRUE(ok);  // absent keys fall back without a failure
+}
+
 TEST(ParseFlatObjectTest, RoundTripsEscapedStrings) {
   const std::string original = "a \"quoted\" line\nwith\ttabs \\ and \x02";
   FlatObject fields;

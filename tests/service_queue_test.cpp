@@ -143,6 +143,35 @@ TEST(WorkQueueTest, ReportsMalformedInteriorLinesWithLineNumbers) {
   EXPECT_EQ(reopened.find(2)->spec.name, "second");
 }
 
+TEST(WorkQueueTest, ReportsOutOfRangeAndTrailingByteIntegersAsMalformed) {
+  TempDir dir;
+  fs::create_directories(dir.path);
+  {
+    // A priority of 2^32 used to wrap to 0; an id of "12abc" used to
+    // replay as job 12. Both are now malformed lines.
+    std::ofstream wal(dir.path + "/queue.wal");
+    wal << "{\"op\":\"submit\",\"id\":1,\"name\":\"wraps\","
+           "\"priority\":4294967296,\"scenario\":\"seed = 1\\n\"}\n";
+    wal << "{\"op\":\"submit\",\"id\":\"12abc\",\"name\":\"junk\","
+           "\"priority\":0,\"scenario\":\"seed = 1\\n\"}\n";
+    wal << "{\"op\":\"submit\",\"id\":3,\"name\":\"good\","
+           "\"priority\":2,\"scenario\":\"seed = 3\\n\"}\n";
+  }
+  WorkQueue queue(dir.path, smallLimits());
+  std::string error;
+  std::vector<std::string> warnings;
+  ASSERT_TRUE(queue.open(&error, &warnings)) << error;
+  ASSERT_EQ(warnings.size(), 2u);
+  EXPECT_NE(warnings[0].find("line 1"), std::string::npos) << warnings[0];
+  EXPECT_NE(warnings[0].find("malformed entry"), std::string::npos);
+  EXPECT_NE(warnings[1].find("line 2"), std::string::npos) << warnings[1];
+  EXPECT_NE(warnings[1].find("malformed entry"), std::string::npos);
+  EXPECT_EQ(queue.find(1), nullptr);
+  EXPECT_EQ(queue.find(12), nullptr);
+  ASSERT_NE(queue.find(3), nullptr);
+  EXPECT_EQ(queue.find(3)->spec.priority, 2);
+}
+
 TEST(WorkQueueTest, BackpressureShedsSubmissionsPastTheDepthBound) {
   TempDir dir;
   QueueLimits limits = smallLimits();

@@ -27,7 +27,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "src/core/download_planner.hpp"
 #include "src/core/scenario.hpp"
 #include "src/core/sharded_engine.hpp"
 #include "src/service/daemon.hpp"
@@ -40,48 +39,11 @@ using namespace hdtn;
 namespace {
 
 int usage() {
-  const std::vector<FlagHelp> flags = {
+  std::vector<FlagHelp> flags = {
       {"scenario=PATH", "load a key = value scenario file first"},
-      {"trace=PATH", "contact trace file (or trace-family=nus|dieselnet|rwp)"},
-      {"protocol=mbt|mbt-q|mbt-qm", "protocol variant (default mbt)"},
-      {"scheduling=coop|tft", "download scheduling (default coop)"},
-      {"download-mode=coop|tft|popularity|pairwise|coded",
-       "download mode (registry name; docs/CODING.md)"},
-      {"coded-redundancy=0.5", "coded: extra frames per deficit fraction"},
-      {"coded-sparsity=0.5", "coded: coefficient-vector density"},
-      {"access=0.3", "Internet-access fraction"},
-      {"files-per-day=40", "files published per day"},
-      {"ttl-days=3", "file/query time-to-live"},
-      {"md-per-contact=5", "metadata budget per contact"},
-      {"files-per-contact=2", "file budget per contact"},
-      {"pieces-per-file=1", "pieces per published file"},
-      {"free-riders=0.0", "free-riding fraction"},
-      {"frequent-days=3", "frequent-contact window, days"},
-      {"seed=42", "simulation seed"},
-      {"observed-popularity", "rank by server-observed popularity"},
-      {"loss-rate=0.0", "fault: per-message loss probability"},
-      {"truncation-rate=0.0", "fault: contact truncation probability"},
-      {"corruption-rate=0.0", "fault: piece corruption probability"},
-      {"churn-fraction=0.0", "fault: long-run down-time fraction"},
-      {"recovery-retries=0", "recovery: retransmission attempts per frame"},
-      {"recovery-retransmit-budget=16", "recovery: resend slots per contact"},
-      {"recovery-repair=0", "recovery: anti-entropy requests per contact"},
-      {"recovery-failover", "recovery: elect a new clique coordinator"},
-      {"md-capacity=0", "metadata records per node (0 = unbounded)"},
-      {"adversary-fraction=0.0", "Byzantine fraction (docs/ADVERSARY.md)"},
-      {"adversary-attacks=all",
-       "attack mask: pollution,piece-lie,false-summary,ack-spoof,coordinator"},
-      {"defense", "enable verification + quarantine defenses"},
-      {"quarantine-threshold=3.0", "suspicion level that quarantines a node"},
       {"shards=0", "run sharded: component scheduling groups (0 = classic)"},
       {"threads=1", "sharded: worker threads (0 = hardware concurrency)"},
       {"csv", "one CSV row instead of the report"},
-      {"events-out=PATH", "JSONL event trace (docs/OBSERVABILITY.md)"},
-      {"timeseries-out=PATH", "sampled delivery/totals CSV"},
-      {"sample-every=21600", "time-series cadence, sim seconds"},
-      {"checkpoint-out=PATH", "periodic checkpoint (docs/CHECKPOINT.md)"},
-      {"checkpoint-every=21600", "checkpoint cadence, sim seconds"},
-      {"resume", "restore from checkpoint-out if it exists"},
       {"serve", "run the sweep service instead (docs/SERVICE.md)"},
       {"state-dir=DIR", "serve: queue + job state directory (required)"},
       {"socket=PATH", "serve: control socket (default DIR/daemon.sock)"},
@@ -94,21 +56,23 @@ int usage() {
       {"job-checkpoint-every=21600",
        "serve: checkpoint cadence injected into jobs, sim seconds"},
   };
+  // Then every scenario key, straight from the knob table, with the
+  // defaults of a default-constructed Scenario.
+  const core::Scenario defaults;
+  for (const core::Knob& knob : core::scenarioKnobs()) {
+    const std::string value = knob.show(defaults);
+    const auto* choice = std::get_if<core::Knob::Choice>(&knob.field);
+    flags.push_back(
+        {std::string(knob.key) + "=" + (value.empty() ? "PATH" : value),
+         std::string(knob.help) +
+             (choice != nullptr ? std::string(" (") + choice->vocabulary + ")"
+                                : "")});
+  }
   std::fputs(formatUsage("hdtn_sim --trace=PATH|--scenario=PATH [options]",
                          flags)
                  .c_str(),
              stderr);
   return 2;
-}
-
-/// Flag-style spelling (the CSV row's protocol column, stable since v0).
-const char* protocolFlagName(core::ProtocolKind kind) {
-  switch (kind) {
-    case core::ProtocolKind::kMbt: return "mbt";
-    case core::ProtocolKind::kMbtQ: return "mbt-q";
-    case core::ProtocolKind::kMbtQm: return "mbt-qm";
-  }
-  return "mbt";
 }
 
 // --- worker preemption ------------------------------------------------
@@ -204,9 +168,10 @@ int main(int argc, char** argv) {
   }
 
   // Every scenario key doubles as a flag; flags override the file.
-  for (const std::string& key : core::Scenario::knownKeys()) {
-    if (!args.has(key)) continue;
-    const std::string error = scenario.apply(key, args.getString(key, ""));
+  for (const core::Knob& knob : core::scenarioKnobs()) {
+    if (!args.has(knob.key)) continue;
+    const std::string error =
+        scenario.apply(knob.key, args.getString(knob.key, ""));
     if (!error.empty()) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
       return 2;
@@ -297,7 +262,7 @@ int main(int argc, char** argv) {
         "protocol,access,metadata_ratio,file_ratio,mean_md_delay_s,"
         "mean_file_delay_s,queries,contacts\n");
     std::printf("%s,%.3f,%.4f,%.4f,%.1f,%.1f,%zu,%llu\n",
-                protocolFlagName(scenario.params.protocol.kind),
+                core::findKnob("protocol")->show(scenario).c_str(),
                 scenario.params.internetAccessFraction,
                 result.delivery.metadataRatio, result.delivery.fileRatio,
                 result.delivery.meanMetadataDelaySeconds,
@@ -315,8 +280,7 @@ int main(int argc, char** argv) {
               trace->nodeCount(), trace->contactCount());
   std::printf("protocol: %s (%s download mode)\n",
               core::protocolName(scenario.params.protocol.kind),
-              core::downloadModeName(scenario.params.downloadMode,
-                                     scenario.params.protocol.scheduling));
+              core::findKnob("download-mode")->show(scenario).c_str());
   std::printf("\nnon-access nodes (%zu queries):\n", result.delivery.queries);
   std::printf("  metadata delivery ratio: %.4f (mean delay %.1f h)\n",
               result.delivery.metadataRatio,
